@@ -30,10 +30,6 @@ from . import __version__, convolution, linalg, measures, moments, ovdist, trans
 from . import killer as killermod
 from .errors import MarginViolation, OvfreeError, UnsupportedPoint
 
-COMMANDS = ("g-eval", "r-eval", "certify", "convolve", "truncate-sweep",
-            "moments", "fbcs", "neumann", "killer", "block-identity",
-            "convergence")
-
 _COMPLEX = {"type": "array", "minItems": 2, "maxItems": 2,
             "items": {"type": "number"}}
 _MATRIX = {"type": "object", "required": ["dim", "re", "im"],
@@ -52,18 +48,6 @@ _SCALED_INVERSE = {"type": "object", "required": ["kind", "factor"],
                    "additionalProperties": False,
                    "properties": {"kind": {"const": "scaled-inverse"},
                                   "factor": {"type": "number"}}}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["command", "seed", "params", "output"],
-    "additionalProperties": False,
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2 ** 64 - 1},
-        "params": {"type": "object"},
-        "output": {"type": "string", "minLength": 1},
-    },
-}
 
 PARAM_SCHEMAS = {
     "g-eval": {
@@ -143,6 +127,18 @@ PARAM_SCHEMAS = {
                        "mass_tol": {"type": "number", "exclusiveMinimum": 0}}},
 }
 
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["command", "seed", "params", "output"],
+    "additionalProperties": False,
+    "properties": {
+        "command": {"enum": list(PARAM_SCHEMAS)},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2 ** 64 - 1},
+        "params": {"type": "object"},
+        "output": {"type": "string", "minLength": 1},
+    },
+}
+
 
 # ---------------------------------------------------------------------------
 # parsing helpers
@@ -212,11 +208,9 @@ def _max_workers(n_items: int) -> int:
     return max(1, min(n_items, cap))
 
 
-def _parse_complex_text(text: str) -> complex:
-    """Accept '2i', '1+i', '-0.3-2i' style tokens."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
-    cleaned = re.sub(r"(?<![\d.])j", "1j", cleaned)
-    return complex(cleaned)
+def _python_complex_syntax(text: str) -> str:
+    """Rewrite '2i', '1+i', '-0.3-2i' style numbers as Python literals ('1+1j')."""
+    return re.sub(r"(?<![\d.])j", "1j", text.replace(" ", "").replace("i", "j"))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +327,7 @@ def _cmd_moments(params, seed):
     if all(isinstance(law, measures.Cauchy) for law in laws):
         reference = 1.0 + 0.0j
         for z, idx in letters:
-            law = laws[idx]
-            pole = law.location - 1j * law.scale * (1 if z.imag > 0 else -1)
-            reference /= z - pole
+            reference /= z - laws[idx].pole(1 if z.imag > 0 else -1)
         reference = _pair(reference)
     return "json", {"value": _pair(value), "mode": params["mode"],
                     "reference": reference}
@@ -512,9 +504,7 @@ def _handle_run(args) -> int:
 
 def _handle_moments(args) -> int:
     try:
-        raw = ast.literal_eval(
-            re.sub(r"(?<![\d.])j", "1j",
-                   args.word.replace(" ", "").replace("i", "j")))
+        raw = ast.literal_eval(_python_complex_syntax(args.word))
         word = [[_pair(complex(z)), int(var)] for z, var in raw]
         if args.law.lstrip().startswith("{"):
             law = json.loads(args.law)
@@ -537,7 +527,7 @@ def _handle_moments(args) -> int:
 
 def _handle_killer(args) -> int:
     try:
-        targets = [_pair(_parse_complex_text(tok))
+        targets = [_pair(complex(_python_complex_syntax(tok)))
                    for tok in args.targets.split(",") if tok.strip()]
         if not targets:
             raise ValueError("no targets given")

@@ -8,8 +8,6 @@ fresh arrays.  Matrices are plain ``numpy.ndarray`` values of dtype complex128;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -69,12 +67,6 @@ def inverse(x) -> np.ndarray:
     if resid > RESIDUAL_TOL * max(1e-300, sv[0]) * np.linalg.norm(inv, 2):
         raise SingularMatrix(f"inverse residual {resid:.3e} failed the quality gate")
     return inv
-
-
-def real_part(x) -> np.ndarray:
-    """Hermitian real part (x + x*)/2."""
-    a = as_matrix(x)
-    return (a + a.conj().T) / 2.0
 
 
 def imag_part(x) -> np.ndarray:
@@ -144,30 +136,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise DimensionMismatch("matrix object shape disagrees with its 'dim' field")
     return as_matrix(re + 1j * im)
-
-
-@dataclass(frozen=True)
-class HalfPlaneMargin:
-    """A matrix certified to sit in the upper half-plane with a quantified margin.
-
-    Invariant (checked at construction): ``half_plane_margin(matrix) >= margin > 0``.
-    """
-
-    matrix: np.ndarray
-    margin: float
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if not (self.margin > 0.0):
-            raise ValueError("margin must be positive")
-        actual = half_plane_margin(m)
-        if actual < self.margin - 1e-12 * max(1.0, abs(self.margin)):
-            raise ValueError(
-                f"claimed margin {self.margin} exceeds actual imaginary-part floor {actual}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])

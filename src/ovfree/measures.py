@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, RealAxisPoint
+from . import rng as rngmod
+from .errors import DimensionMismatch, NoConvergence, RealAxisPoint
 
 _WEIGHT_TOL = 1e-12
 
@@ -35,7 +36,9 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
     ``fn`` maps an array of abscissae of shape (k,) to values of shape
     (k, ...).  Panels are bisected until the difference between a 10- and a
     21-point Gauss-Legendre rule drops below the locally apportioned share of
-    ``tol``.  Returns ``(value, error_estimate)``.
+    ``tol``.  Returns ``(value, error_estimate)``; raises
+    :class:`NoConvergence` when a panel is still unconverged once
+    ``max_panels`` panels have been evaluated.
     """
     if hi <= lo:
         raise ValueError("empty integration interval")
@@ -57,10 +60,13 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
         a, b = stack.pop()
         high, err = rules(a, b)
         panels += 1
-        if err <= tol * max((b - a) / total_len, 1e-6) or (b - a) < 1e-14 * total_len \
-                or panels >= max_panels:
+        if err <= tol * max((b - a) / total_len, 1e-6) or (b - a) < 1e-14 * total_len:
             value = high if value is None else value + high
             err_acc += err
+        elif panels >= max_panels:
+            raise NoConvergence(
+                f"adaptive quadrature spent {max_panels} panels on [{lo:.6g}, {hi:.6g}] "
+                f"with a panel error of {err:.3e} left unresolved")
         else:
             mid = (a + b) / 2.0
             stack.append((a, mid))
@@ -170,6 +176,10 @@ class Cauchy(ScalarMeasure):
 
     def quantile(self, p):
         return self.location + self.scale * math.tan(math.pi * (p - 0.5))
+
+    def pole(self, sign: float) -> complex:
+        """Virtual pole: g(z) = 1/(z - pole) on the half-plane sign(Im z) = sign."""
+        return self.location - 1j * self.scale * sign
 
     def closed_form_g(self, z):
         # The density pole in the opposite half-plane is the only residue.
@@ -625,6 +635,18 @@ def quantile_nodes(measure: ScalarMeasure, count: int) -> np.ndarray:
     return np.array([measure.quantile((j - 0.5) / count) for j in range(1, count + 1)])
 
 
+def realization(law: ScalarMeasure, n: int, gen) -> np.ndarray:
+    """Random n x n Hermitian matrix whose spectral law approximates ``law``.
+
+    A scaled GUE for semicircles; otherwise the quantile grid rotated by a
+    Haar unitary, which makes independent realizations asymptotically free.
+    """
+    if isinstance(law, Semicircle):
+        return math.sqrt(law.variance) * rngmod.gue(n, gen)
+    u = rngmod.haar_unitary(n, gen)
+    return (u * quantile_nodes(law, n)) @ u.conj().T
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -647,7 +669,3 @@ def measure_from_json(obj: dict) -> ScalarMeasure:
         return builder(obj)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"unknown or malformed law object: {exc}") from exc
-
-
-def measure_to_json(measure: ScalarMeasure) -> dict:
-    return measure.to_json()

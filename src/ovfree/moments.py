@@ -278,15 +278,7 @@ def _mc_free_moment(word: ResolventWord) -> complex:
     acc = 0.0 + 0.0j
     for trial in range(mc.trials):
         gen = rngmod.stream(mc.seed, trial)
-        real: dict[int, np.ndarray] = {}
-        for pos, idx in enumerate(used):
-            law = word.laws[idx]
-            if isinstance(law, measures.Semicircle):
-                sample = math.sqrt(law.variance) * rngmod.gue(n, gen)
-            else:
-                u = rngmod.haar_unitary(n, gen)
-                sample = (u * measures.quantile_nodes(law, n)) @ u.conj().T
-            real[idx] = sample
+        real = {idx: measures.realization(word.laws[idx], n, gen) for idx in used}
         prod = np.eye(n, dtype=complex)
         eye = np.eye(n)
         for z, idx in word.letters:
@@ -322,8 +314,7 @@ def fbcs_check(z_values: Sequence[complex], indices: Sequence[int],
     values = {mode: mixed_moment(ResolventWord(letters, laws, mode)) for mode in MODES}
     reference = 1.0 + 0.0j
     for z in zs:
-        pole = law.location - 1j * law.scale * (1 if z.imag > 0 else -1)
-        reference *= 1.0 / (z - pole)
+        reference *= 1.0 / (z - law.pole(1 if z.imag > 0 else -1))
     dev = max(abs(v - reference) for v in values.values())
     return AgreementReport(values, reference, dev)
 
@@ -340,8 +331,15 @@ class NeumannResult:
     enumerated_orders: int  # orders evaluated letter-by-letter through moments
 
 
-def _cauchy_virtual_pole(law: measures.Cauchy, halfplane_sign: float) -> complex:
-    return law.location - 1j * law.scale * halfplane_sign
+def dominance_ratio(b: np.ndarray) -> float:
+    """Contraction ratio q = || |b - D| |Im D|^{-1} ||_2 with D the diagonal of b.
+
+    The resolvent expansion around D converges when q < 1.  Every diagonal
+    entry must have a nonzero imaginary part.
+    """
+    diag = np.diagonal(b)
+    off = b - np.diag(diag)
+    return float(np.linalg.norm(np.abs(off) * (1.0 / np.abs(diag.imag))[None, :], 2))
 
 
 def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
@@ -369,12 +367,11 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
     diag = np.diagonal(b).copy()
     if np.any(diag.imag == 0.0):
         raise NotDominant("every diagonal entry needs a nonzero imaginary part")
-    off = b - np.diag(diag)
-    inv_margin = 1.0 / np.abs(diag.imag)
-    q = float(np.linalg.norm(np.abs(off) * inv_margin[None, :], 2))
+    q = dominance_ratio(b)
     if q >= 1.0:
         raise NotDominant(f"off-diagonal dominance ratio {q:.3f} >= 1")
-    resolvent_bound = float(inv_margin.max())
+    off = b - np.diag(diag)
+    resolvent_bound = float(1.0 / np.abs(diag.imag).min())
     tail = resolvent_bound * q ** (p_max + 1) / (1.0 - q) if q > 0 else 0.0
 
     var_of = [p % len(laws) for p in range(m)]
@@ -429,7 +426,7 @@ def _term_by_paths(diag, off, succ, var_of, laws, mode, order) -> np.ndarray:
 
 def _term_by_product(diag, off, var_of, laws, order) -> np.ndarray:
     sign = 1.0 if diag.imag[0] > 0 else -1.0
-    poles = np.array([_cauchy_virtual_pole(laws[v], sign) for v in var_of])
+    poles = np.array([laws[v].pole(sign) for v in var_of])
     r = np.diag(1.0 / (diag - poles))
     out = r.copy()
     step = off @ r

@@ -95,13 +95,9 @@ class ScalarEmbedded(OVDistribution):
 
     def eval_G(self, b) -> np.ndarray:
         b = self._check_arg(b)
-        m = b.shape[0]
-        if isinstance(self.law, measures.Cauchy):
-            margin = linalg.half_plane_margin(b)
-            if margin > 0:
-                return linalg.inverse(b - _cauchy_pole(self.law, 1.0) * np.eye(m))
-            if linalg.half_plane_margin(-b) > 0:
-                return linalg.inverse(b - _cauchy_pole(self.law, -1.0) * np.eye(m))
+        res = _cauchy_resolvent(self.law, b)
+        if res is not None:
+            return res
         normal = _schur_if_normal(b)
         if normal is not None:
             eigs, v = normal
@@ -115,12 +111,9 @@ class ScalarEmbedded(OVDistribution):
         h = linalg.as_matrix(h)
         if h.shape != b.shape:
             raise DimensionMismatch("direction must match the argument's shape")
-        m = b.shape[0]
-        if isinstance(self.law, measures.Cauchy):
-            for sign in (1.0, -1.0):
-                if linalg.half_plane_margin(sign * b) > 0:
-                    res = linalg.inverse(b - _cauchy_pole(self.law, sign) * np.eye(m))
-                    return -res @ h @ res
+        res = _cauchy_resolvent(self.law, b)
+        if res is not None:
+            return -res @ h @ res
         normal = _schur_if_normal(b)
         if normal is not None:
             eigs, v = normal
@@ -132,7 +125,7 @@ class ScalarEmbedded(OVDistribution):
 
     def sample(self, big_dim: int, gen) -> np.ndarray:
         return np.kron(np.eye(self.base_dim),
-                       _scalar_realization(self.law, big_dim, gen))
+                       measures.realization(self.law, big_dim, gen))
 
     def _integrate(self, b, combine):
         m = b.shape[0]
@@ -156,8 +149,18 @@ class ScalarEmbedded(OVDistribution):
         return total
 
 
-def _cauchy_pole(law: measures.Cauchy, sign: float) -> complex:
-    return law.location - 1j * law.scale * sign
+def _cauchy_resolvent(law, b: np.ndarray):
+    """(b - pole)^{-1} for a Cauchy law when b lies in an open half-plane.
+
+    There G(b) is the resolvent at the virtual pole of that half-plane;
+    returns None for other laws and for arguments in neither half-plane.
+    """
+    if not isinstance(law, measures.Cauchy):
+        return None
+    for sign in (1.0, -1.0):
+        if linalg.half_plane_margin(sign * b) > 0:
+            return linalg.inverse(b - law.pole(sign) * np.eye(b.shape[0]))
+    return None
 
 
 def _g_divided_differences(law, eigs: np.ndarray) -> np.ndarray:
@@ -336,8 +339,7 @@ class DiagonalIndependent(OVDistribution):
         diag = np.diagonal(b)
         if np.any(diag.imag == 0.0):
             raise UnsupportedPoint("diagonal entries must leave the real axis")
-        off = b - np.diag(diag)
-        q = float(np.linalg.norm(np.abs(off) / np.abs(diag.imag)[None, :], 2))
+        q = moments.dominance_ratio(b)
         if q >= 1.0:
             raise UnsupportedPoint(
                 f"diagonal dominance ratio {q:.3f} >= 1; no convergent expansion here")
@@ -369,7 +371,7 @@ class DiagonalIndependent(OVDistribution):
         self._series_order(b)  # dominance check
         sign = 1.0 if diag.imag[0] > 0 else -1.0
         n = len(self.laws)
-        poles = np.array([_cauchy_pole(self.laws[p % n], sign) for p in range(len(diag))])
+        poles = np.array([self.laws[p % n].pole(sign) for p in range(len(diag))])
         res = linalg.inverse(b - np.diag(poles))
         return -res @ h @ res
 
@@ -378,25 +380,18 @@ class DiagonalIndependent(OVDistribution):
         blocks = []
         if self.mode == "free":
             for law in self.laws:
-                blocks.append(_scalar_realization(law, big_dim, gen))
+                blocks.append(measures.realization(law, big_dim, gen))
         elif self.mode == "classical":
             for law in self.laws:
                 blocks.append(np.diag(_iid_samples(law, big_dim, gen)).astype(complex))
         elif self.mode == "equal":
-            shared = _scalar_realization(self.laws[0], big_dim, gen)
+            shared = measures.realization(self.laws[0], big_dim, gen)
             if any(law != self.laws[0] for law in self.laws):
                 raise UnsupportedPoint("equal mode requires identical laws")
             blocks = [shared] * n
         else:
             raise UnsupportedPoint("boolean independence has no matrix model here")
         return scipy.linalg.block_diag(*blocks)
-
-
-def _scalar_realization(law: measures.ScalarMeasure, big_dim: int, gen) -> np.ndarray:
-    if isinstance(law, measures.Semicircle):
-        return math.sqrt(law.variance) * rngmod.gue(big_dim, gen)
-    u = rngmod.haar_unitary(big_dim, gen)
-    return (u * measures.quantile_nodes(law, big_dim)) @ u.conj().T
 
 
 def _iid_samples(law: measures.ScalarMeasure, count: int, gen) -> np.ndarray:
@@ -551,7 +546,7 @@ class MatrixModel(OVDistribution):
     def sample(self, big_dim: int, gen) -> np.ndarray:
         m = self.base_dim * big_dim
         xs = {i: np.kron(np.eye(self.base_dim),
-                         _scalar_realization(self.laws[i], big_dim, gen))
+                         measures.realization(self.laws[i], big_dim, gen))
               for i in _mixer_vars(self._tree, "x")}
         cs = {i: np.kron(self.constants[i], np.eye(big_dim))
               for i in _mixer_vars(self._tree, "c")}

@@ -122,39 +122,30 @@ def k_map(dist: OVDistribution, w) -> np.ndarray:
     return dist.eval_G(linalg.inverse(w))
 
 
-def k_derivative(dist: OVDistribution, w, h) -> np.ndarray:
-    """Directional derivative of the inverted chart: dK[h] = dG[-w^{-1} h w^{-1}]."""
-    w = linalg.as_matrix(w)
-    h = linalg.as_matrix(h)
-    winv = linalg.inverse(w)
-    return dist.eval_dG(winv, -winv @ h @ winv)
-
-
-def k_jacobian(dist: OVDistribution, w) -> np.ndarray:
-    """Complex Jacobian of the chart map on matrix units, (dim^2, dim^2)."""
-    w = linalg.as_matrix(w)
-    dim = w.shape[0]
-    winv = linalg.inverse(w)
+def _on_matrix_units(derivative, dim: int) -> np.ndarray:
+    """(dim^2, dim^2) matrix whose columns are ``derivative`` at each matrix unit."""
     cols = []
     for u in range(dim):
         for v in range(dim):
             unit = np.zeros((dim, dim), dtype=complex)
             unit[u, v] = 1.0
-            cols.append(dist.eval_dG(winv, -winv @ unit @ winv).reshape(-1))
+            cols.append(derivative(unit).reshape(-1))
     return np.array(cols).T
+
+
+def k_jacobian(dist: OVDistribution, w) -> np.ndarray:
+    """Complex Jacobian of the chart map on matrix units, (dim^2, dim^2).
+
+    The column of the unit h is dK_w[h] = dG_{w^{-1}}[-w^{-1} h w^{-1}].
+    """
+    winv = linalg.inverse(w)
+    return _on_matrix_units(lambda h: dist.eval_dG(winv, -winv @ h @ winv), winv.shape[0])
 
 
 def g_jacobian(dist: OVDistribution, b) -> np.ndarray:
     """Complex Jacobian of G itself on matrix units, (dim^2, dim^2)."""
     b = linalg.as_matrix(b)
-    dim = b.shape[0]
-    cols = []
-    for u in range(dim):
-        for v in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[u, v] = 1.0
-            cols.append(dist.eval_dG(b, unit).reshape(-1))
-    return np.array(cols).T
+    return _on_matrix_units(lambda h: dist.eval_dG(b, h), b.shape[0])
 
 
 # ---------------------------------------------------------------------------

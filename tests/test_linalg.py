@@ -110,13 +110,3 @@ def test_json_round_trip():
     np.testing.assert_array_equal(back, x)  # bit-exact through float lists
     with pytest.raises(DimensionMismatch):
         la.matrix_from_json({"dim": 2, "re": [[0.0]], "im": [[0.0]]})
-
-
-def test_half_plane_margin_certificate_type():
-    b = np.array([[2j, 1j], [1j, 2j]])
-    cert = la.HalfPlaneMargin(b, 0.9)
-    assert cert.dim == 2
-    with pytest.raises(ValueError):
-        la.HalfPlaneMargin(b, 1.5)  # claims more than the actual floor of 1
-    with pytest.raises(ValueError):
-        la.HalfPlaneMargin(b, -1.0)

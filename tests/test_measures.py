@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from ovfree import measures as ms
-from ovfree.errors import RealAxisPoint
+from ovfree.errors import NoConvergence, RealAxisPoint
 
 from conftest import arcsine_g_oracle, central_derivative, semicircle_g_oracle, stream
 
@@ -46,6 +46,12 @@ def test_adaptive_integral_polynomial_exact():
     exact = (3.0 ** 7 - (-1.0) ** 7) / 7 - (3.0 ** 2 - 1.0)
     assert val == pytest.approx(exact, rel=1e-14)
     assert err < 1e-10
+
+
+def test_adaptive_integral_raises_when_the_panel_budget_runs_out():
+    # the true value is ln(7/3) - i pi; 50 panels cannot resolve the near pole
+    with pytest.raises(NoConvergence):
+        ms.adaptive_integral(lambda t: 1.0 / (t - 0.3 + 1e-9j), 0.0, 1.0, max_panels=50)
 
 
 def test_adaptive_integral_matrix_valued():

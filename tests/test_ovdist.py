@@ -79,11 +79,14 @@ class TestScalarEmbedded:
         np.testing.assert_allclose(se.eval_dG(b, h), central_diff_dG(se, b, h),
                                    atol=5e-9)
 
-    def test_cauchy_derivative_closed_form(self):
+    @pytest.mark.parametrize("b, pole", [
+        (np.array([[2j, 0.3], [0.1, 3j]]), -1j),
+        (np.array([[-2j, 0.3], [0.1, -3j]]), 1j),
+    ], ids=["upper", "lower"])
+    def test_cauchy_derivative_closed_form(self, b, pole):
         se = ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0))
-        b = np.array([[2j, 0.3], [0.1, 3j]])
         h = np.array([[1.0, 0.2], [0.0, -0.5]])
-        res = np.linalg.inv(b + 1j * np.eye(2))
+        res = np.linalg.inv(b - pole * np.eye(2))
         np.testing.assert_allclose(se.eval_dG(b, h), -res @ h @ res, atol=1e-13)
 
     def test_real_spectrum_rejected(self):

@@ -109,23 +109,28 @@ class TestBlochCertify:
         assert clone.domain_radius == ball.domain_radius
         assert clone.image_radius == ball.image_radius
 
-    def test_jacobian_matches_directional_derivative(self, rng):
-        dist = ov.ScalarEmbedded(ms.Semicircle(0.04))
-        w0 = linalg.inverse(tr.base_point(0.5, 1, 1))
-        jac = tr.k_jacobian(dist, w0)
-        for _ in range(5):
-            h = frobenius_direction(rng, 2)
-            direct = tr.k_derivative(dist, w0, h)
-            via_jac = (jac @ h.reshape(-1)).reshape(2, 2)
-            np.testing.assert_allclose(via_jac, direct, atol=1e-12)
-
-    def test_finite_difference_jacobian(self):
-        dist = ov.OVSemicircular((0.2,))
+    @pytest.mark.parametrize("dist", [
+        ov.OVSemicircular((0.2,)),
+        ov.ScalarEmbedded(ms.Semicircle(0.04)),
+    ], ids=["ov-semicircular", "semicircle"])
+    def test_finite_difference_jacobian(self, dist):
         w0 = linalg.inverse(tr.base_point(0.5, 1, 1))
         jac = tr.k_jacobian(dist, w0)
         eps = 1e-6
         h = np.array([[0.3, 0.4j], [0.1, -0.2]])
         fd = (tr.k_map(dist, w0 + eps * h) - tr.k_map(dist, w0 - eps * h)) / (2 * eps)
+        np.testing.assert_allclose((jac @ h.reshape(-1)).reshape(2, 2), fd, atol=1e-8)
+
+    @pytest.mark.parametrize("dist", [
+        ov.OVSemicircular((0.2,)),
+        ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0)),
+    ], ids=["ov-semicircular", "cauchy"])
+    def test_finite_difference_g_jacobian(self, dist):
+        b = tr.base_point(2.0, 1, 1) + np.array([[0.0, 0.3], [0.1, 0.0]])
+        jac = tr.g_jacobian(dist, b)
+        eps = 1e-6
+        h = np.array([[0.3, 0.4j], [0.1, -0.2]])
+        fd = (dist.eval_G(b + eps * h) - dist.eval_G(b - eps * h)) / (2 * eps)
         np.testing.assert_allclose((jac @ h.reshape(-1)).reshape(2, 2), fd, atol=1e-8)
 
 
