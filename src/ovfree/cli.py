@@ -288,12 +288,8 @@ def _cmd_convolve(params, seed):
         return row
 
     items = list(enumerate(targets))
-    workers = _max_workers(len(items))
-    if workers == 1:
-        rows = [solve(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve, items))
+    with ThreadPoolExecutor(max_workers=_max_workers(len(items))) as pool:
+        rows = list(pool.map(solve, items))
     dim = task.overlap_center.shape[0]
     header = ["point_id"]
     for i in range(dim):

@@ -34,6 +34,13 @@ __all__ = [
     "ConvergenceReport", "convergence_check",
 ]
 
+_TARGET_SHRINK = 0.9         # sample_targets' share of the overlap radius
+_NEWTON_RESIDUAL_TOL = 1e-9  # eval_G_of_sum's residual, relative to max(1, ||b||)
+_NEWTON_MAX_STEPS = 60
+_ADDITIVITY_TOL = 1e-8       # verify_additivity's pass bound
+_MC_SIGMA = 3.0              # verify_additivity_mc's pass bound, in standard errors
+_PROBE_HEIGHT = 1e6          # convergence_check reads the limit's mass at i * this
+
 
 def image_overlap(ball_x: CertifiedBall, ball_y: CertifiedBall):
     """Largest ball inscribed in the intersection of two certified images.
@@ -94,8 +101,7 @@ class ConvolutionTask:
         by = invert_G(self.y, self.ball_y, w)
         return bx + by - 2.0 * winv
 
-    def sample_targets(self, count: int, seed: int = 0,
-                       shrink: float = 0.9) -> list:
+    def sample_targets(self, count: int, seed: int = 0) -> list:
         """Deterministic sample of points in the shared image ball."""
         dim = self.overlap_center.shape[0]
         gen = rngmod.stream(seed, 3 * dim + 1)
@@ -104,12 +110,11 @@ class ConvolutionTask:
             y = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
             y /= np.linalg.norm(y)
             points.append(self.overlap_center
-                          + shrink * self.overlap_radius * gen.random() * y)
+                          + _TARGET_SHRINK * self.overlap_radius * gen.random() * y)
         return points
 
 
-def eval_G_of_sum(task: ConvolutionTask, b, residual_tol: float = 1e-9,
-                  max_steps: int = 60) -> np.ndarray:
+def eval_G_of_sum(task: ConvolutionTask, b) -> np.ndarray:
     """G_{X+Y}(b) by Newton iteration on R_X(w) + R_Y(w) + w^{-1} = b.
 
     The iteration starts at the center of the shared image ball and must
@@ -124,12 +129,12 @@ def eval_G_of_sum(task: ConvolutionTask, b, residual_tol: float = 1e-9,
     dim = b.shape[0]
     w = task.overlap_center.copy()
     scale = max(1.0, float(np.linalg.norm(b)))
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_MAX_STEPS):
         winv = linalg.inverse(w)
         bx = invert_G(task.x, task.ball_x, w)
         by = invert_G(task.y, task.ball_y, w)
         residual = bx + by - winv - b
-        if np.linalg.norm(residual) <= residual_tol * scale:
+        if np.linalg.norm(residual) <= _NEWTON_RESIDUAL_TOL * scale:
             return w
         # d(b_x)/dw is the inverse Jacobian of G_X at b_x; the explicit
         # -w^{-1} h w^{-1} from the w^{-1} term closes the derivative.
@@ -171,8 +176,7 @@ class AdditivityReport:
 
 
 def verify_additivity(task: ConvolutionTask, sum_dist: OVDistribution,
-                      count: int = 20, seed: int = 0,
-                      tolerance: float = 1e-8) -> AdditivityReport:
+                      count: int = 20, seed: int = 0) -> AdditivityReport:
     """Check G_{X+Y}(R_X(w) + R_Y(w) + w^{-1}) = w on sampled points.
 
     ``sum_dist`` must be the distribution of X + Y obtained independently
@@ -185,7 +189,7 @@ def verify_additivity(task: ConvolutionTask, sum_dist: OVDistribution,
         b_sum = task.r_sum(w) + linalg.inverse(w)
         value = sum_dist.eval_G(b_sum)
         deviations.append(float(np.linalg.norm(value - w)))
-    return AdditivityReport(tuple(deviations), tolerance)
+    return AdditivityReport(tuple(deviations), _ADDITIVITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -202,12 +206,11 @@ class MCAdditivityReport:
 
 def verify_additivity_mc(task: ConvolutionTask, sum_model: OVDistribution,
                          count: int = 3, seed: int = 0, big_dim: int = 300,
-                         trials: int = 12,
-                         sigma: float = 3.0) -> MCAdditivityReport:
+                         trials: int = 12) -> MCAdditivityReport:
     """Monte Carlo additivity check against a sampled model of X + Y.
 
     Accepts when every sampled subordination point is reproduced by the
-    model's estimated transform within ``sigma`` standard errors.  The
+    model's estimated transform within ``_MC_SIGMA`` standard errors.  The
     model must be norm-bounded below the argument's block margin: the
     evaluation points have imaginary parts of both signs, where a sampled
     resolvent is controlled only under that condition.
@@ -226,7 +229,7 @@ def verify_additivity_mc(task: ConvolutionTask, sum_model: OVDistribution,
                             seed=seed + 7 * i + 1)
         deviations.append(float(np.abs(est.mean - w).max()))
         stderrs.append(est.stderr)
-    return MCAdditivityReport(tuple(deviations), tuple(stderrs), sigma)
+    return MCAdditivityReport(tuple(deviations), tuple(stderrs), _MC_SIGMA)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +301,8 @@ class ConvergenceReport:
         return self.sup_errors[-1]
 
 
-def convergence_check(dists, probes, limit, mass_tol: float = 0.05,
-                      probe_height: float = 1e6) -> ConvergenceReport:
+def convergence_check(dists, probes, limit,
+                      mass_tol: float = 0.05) -> ConvergenceReport:
     """Pointwise G-convergence toward a limit, with a mass audit.
 
     ``limit`` may be a distribution or a bare matrix function of the
@@ -323,7 +326,7 @@ def convergence_check(dists, probes, limit, mass_tol: float = 0.05,
             worst = max(worst, float(linalg.operator_norm(delta)))
         sup_errors.append(worst)
     dim = probes[0].shape[0]
-    tall = 1j * probe_height * np.eye(dim)
-    mass = float((1j * probe_height * np.trace(limit_fn(tall)) / dim).real)
+    tall = 1j * _PROBE_HEIGHT * np.eye(dim)
+    mass = float((1j * _PROBE_HEIGHT * np.trace(limit_fn(tall)) / dim).real)
     return ConvergenceReport(tuple(sup_errors), mass, mass_tol,
                              mass < 1.0 - mass_tol)

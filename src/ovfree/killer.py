@@ -21,6 +21,10 @@ __all__ = [
     "killer_derivative", "Witness", "non_invertibility_witness",
 ]
 
+_DEDUP_TOL = 1e-9        # build_killer merges targets closer than this
+_WITNESS_RADIUS = 1e-3   # largest circle non_invertibility_witness searches
+_WITNESS_GRID = 64       # antipodal pairs it tries on that circle
+
 
 @dataclass(frozen=True)
 class BernoulliStage:
@@ -46,10 +50,10 @@ class BernoulliStage:
         return -2.0 * self.radius ** 2 / (u * u * u)
 
 
-def build_killer(targets, dedup_tol: float = 1e-9) -> tuple:
+def build_killer(targets) -> tuple:
     """Stages whose composition has a critical point at every target.
 
-    Targets closer than ``dedup_tol`` are treated as one.  All targets
+    Targets closer than ``_DEDUP_TOL`` are treated as one.  All targets
     must lie in the open upper half-plane.
     """
     kept = []
@@ -58,7 +62,7 @@ def build_killer(targets, dedup_tol: float = 1e-9) -> tuple:
         if t.imag <= 0.0:
             raise UnsupportedPoint(
                 "killer targets must lie in the open upper half-plane")
-        if all(abs(t - k) > dedup_tol for k in kept):
+        if all(abs(t - k) > _DEDUP_TOL for k in kept):
             kept.append(t)
     if not kept:
         raise UnsupportedPoint("need at least one target")
@@ -105,8 +109,7 @@ class Witness:
     separation: float
 
 
-def non_invertibility_witness(stages, z0: complex, radius: float = 1e-3,
-                              grid: int = 64):
+def non_invertibility_witness(stages, z0: complex):
     """Search for two points near z0 that the composition cannot tell apart.
 
     Around a critical point the map is quadratic to leading order with
@@ -114,15 +117,16 @@ def non_invertibility_witness(stages, z0: complex, radius: float = 1e-3,
     share their image up to the cubic remainder.  Returns ``None`` when
     the derivative at z0 is large enough (above 0.1) for the map to be
     locally invertible at this scale, or when no pairing beats the
-    acceptance gap of 0.01 * radius.
+    acceptance gap of 0.01 times the circle's radius,
+    min(``_WITNESS_RADIUS``, Im z0 / 2).
     """
     z0 = complex(z0)
     _, d1, _ = killer_jet(stages, z0)
     if abs(d1) > 0.1:
         return None
-    delta = min(radius, 0.5 * z0.imag)
+    delta = min(_WITNESS_RADIUS, 0.5 * z0.imag)
     best_gap, best_theta = np.inf, 0.0
-    for theta in np.linspace(0.0, np.pi, grid, endpoint=False):
+    for theta in np.linspace(0.0, np.pi, _WITNESS_GRID, endpoint=False):
         offset = delta * np.exp(1j * theta)
         gap = abs(eval_killer(stages, z0 + offset)
                   - eval_killer(stages, z0 - offset))

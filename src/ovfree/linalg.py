@@ -23,12 +23,12 @@ CONDITION_CAP = 1e14
 RESIDUAL_TOL = 1e-10
 
 
-def as_matrix(x, *, max_dim: int = MAX_DIM) -> np.ndarray:
+def as_matrix(x) -> np.ndarray:
     """Validate and convert ``x`` to a square complex matrix.
 
     Accepts anything ``numpy.asarray`` does, plus scalars (treated as 1x1).
-    Raises :class:`DimensionMismatch` for non-square or oversized input and
-    ``ValueError`` for non-finite entries.
+    Raises :class:`DimensionMismatch` for non-square input or an edge above
+    ``MAX_DIM``, and ``ValueError`` for non-finite entries.
     """
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim == 0:
@@ -37,8 +37,8 @@ def as_matrix(x, *, max_dim: int = MAX_DIM) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise DimensionMismatch("empty matrix")
-    if a.shape[0] > max_dim:
-        raise DimensionMismatch(f"dimension {a.shape[0]} exceeds supported envelope {max_dim}")
+    if a.shape[0] > MAX_DIM:
+        raise DimensionMismatch(f"dimension {a.shape[0]} exceeds supported envelope {MAX_DIM}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise ValueError("matrix entries must be finite")
     return a.copy()

@@ -21,6 +21,8 @@ from . import rng as rngmod
 from .errors import DimensionMismatch, NoConvergence, RealAxisPoint
 
 _WEIGHT_TOL = 1e-12
+# quadrature tolerance of g_scalar and g_derivative
+_TRANSFORM_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # adaptive panel quadrature (shared by scalar and matrix-valued integrands)
@@ -511,7 +513,7 @@ def _cdf_bisect(cdf, lo, hi, p, iters=200):
 # transforms
 
 
-def g_scalar(measure: ScalarMeasure, z: complex, tol: float = 1e-12) -> complex:
+def g_scalar(measure: ScalarMeasure, z: complex) -> complex:
     """Cauchy transform g(z) = integral of 1/(z - t) d(mu).
 
     Closed forms for cauchy/pointmass/bernoulli/atomic/quadrature variants,
@@ -527,23 +529,23 @@ def g_scalar(measure: ScalarMeasure, z: complex, tol: float = 1e-12) -> complex:
     for seg in measure.segments():
         val, _ = adaptive_integral(
             lambda th: seg.weight(th) / (z - seg.t_of(th)),
-            seg.theta_lo, seg.theta_hi, tol=tol)
+            seg.theta_lo, seg.theta_hi, tol=_TRANSFORM_TOL)
         total += complex(val)
     return complex(total)
 
 
-def f_scalar(measure: ScalarMeasure, z: complex, tol: float = 1e-12) -> complex:
+def f_scalar(measure: ScalarMeasure, z: complex) -> complex:
     """Reciprocal Cauchy transform F = 1/g; maps each half-plane into itself."""
-    g = g_scalar(measure, z, tol=tol)
+    g = g_scalar(measure, z)
     return 1.0 / g
 
 
-def g_derivative(measure: ScalarMeasure, z: complex, order: int, tol: float = 1e-12) -> complex:
+def g_derivative(measure: ScalarMeasure, z: complex, order: int) -> complex:
     """Derivative of the Cauchy transform: (-1)^m m! integral (z-t)^-(m+1) d(mu)."""
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     if order == 0:
-        return g_scalar(measure, z, tol=tol)
+        return g_scalar(measure, z)
     z = complex(z)
     if z.imag == 0.0:
         raise RealAxisPoint("derivative evaluated on the real axis")
@@ -555,7 +557,7 @@ def g_derivative(measure: ScalarMeasure, z: complex, order: int, tol: float = 1e
     for seg in measure.segments():
         val, _ = adaptive_integral(
             lambda th: seg.weight(th) * (z - seg.t_of(th)) ** (-(order + 1)),
-            seg.theta_lo, seg.theta_hi, tol=tol)
+            seg.theta_lo, seg.theta_hi, tol=_TRANSFORM_TOL)
         total += sign * complex(val)
     return complex(total)
 

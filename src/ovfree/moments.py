@@ -216,15 +216,21 @@ def mixed_moment(word: ResolventWord) -> complex:
     return _free_moment(_runs(letters), laws)
 
 
+# centered-product values per law tuple; cleared whole once it holds more
+# than _FREE_MEMO_CAP entries over all law tuples
 _FREE_MEMO: dict = {}
 _FREE_MEMO_CAP = 1 << 18
+_free_memo_entries = 0
 
 
 def _free_moment(blocks: list[tuple[int, tuple]], laws) -> complex:
     """Centering expansion over runs, then the vanishing/merging recursion."""
-    if len(_FREE_MEMO) > _FREE_MEMO_CAP:
+    global _free_memo_entries
+    if _free_memo_entries > _FREE_MEMO_CAP:
         _FREE_MEMO.clear()
+        _free_memo_entries = 0
     memo = _FREE_MEMO.setdefault(laws, {})
+    stored_before = len(memo)
 
     def phi(idx, zs) -> complex:
         return single_var_moment(laws[idx], zs)
@@ -263,6 +269,7 @@ def _free_moment(blocks: list[tuple[int, tuple]], laws) -> complex:
             else:
                 scalar *= phi(*blk)
         total += scalar * centered(tuple(kept))
+    _free_memo_entries += len(memo) - stored_before
     return total
 
 

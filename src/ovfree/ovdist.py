@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from . import linalg, measures, moments, rng as rngmod
+from . import linalg, measures, rng as rngmod
 from .errors import (DimensionMismatch, MixerSyntaxError, NoConvergence,
                      OutsideResolvent, RealAxisPoint, SingularMatrix,
                      UnsupportedPoint)
@@ -308,94 +307,6 @@ class OVSemicircular(OVDistribution):
         for a in self.coefficients:
             out += np.kron(a, rngmod.gue(big_dim, gen))
         return out
-
-
-# ---------------------------------------------------------------------------
-# independent scalar laws on the diagonal
-
-
-@dataclass(frozen=True)
-class DiagonalIndependent(OVDistribution):
-    """diag(X_1, ..., X_n) with the X_i independent in the chosen mode."""
-
-    laws: tuple
-    mode: str = "free"
-    tolerance: float = 1e-12
-    base_dim: int = field(init=False, default=1)
-
-    def __post_init__(self):
-        if self.mode not in moments.MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        laws = tuple(self.laws)
-        if not laws:
-            raise ValueError("need at least one law")
-        object.__setattr__(self, "laws", laws)
-        object.__setattr__(self, "base_dim", len(laws))
-
-    def norm_bound(self) -> float:
-        return max(law.support_bound() for law in self.laws)
-
-    def _series_order(self, b) -> int:
-        diag = np.diagonal(b)
-        if np.any(diag.imag == 0.0):
-            raise UnsupportedPoint("diagonal entries must leave the real axis")
-        q = moments.dominance_ratio(b)
-        if q >= 1.0:
-            raise UnsupportedPoint(
-                f"diagonal dominance ratio {q:.3f} >= 1; no convergent expansion here")
-        if q == 0.0:
-            return 0
-        r = 1.0 / np.abs(diag.imag).min()
-        p = math.log(self.tolerance * (1.0 - q) / r) / math.log(q) - 1.0
-        return max(0, math.ceil(p))
-
-    def eval_G(self, b) -> np.ndarray:
-        b = self._check_arg(b)
-        p_max = self._series_order(b)
-        res = moments.matrix_G_via_neumann(b, self.laws, self.mode, p_max)
-        return res.estimate
-
-    def eval_dG(self, b, h) -> np.ndarray:
-        # for Cauchy families the expansion sums to (b - C)^{-1} with C the
-        # diagonal of virtual poles, so the limit's derivative is available
-        # in closed form; it differs from the truncated series' derivative
-        # by less than the certified tail
-        b = self._check_arg(b)
-        h = linalg.as_matrix(h)
-        if not all(isinstance(law, measures.Cauchy) for law in self.laws):
-            raise UnsupportedPoint("exact derivatives only for Cauchy-family laws")
-        diag = np.diagonal(b)
-        if not (np.all(diag.imag > 0) or np.all(diag.imag < 0)):
-            raise UnsupportedPoint("derivative expansion needs a half-plane-"
-                                   "consistent diagonal")
-        self._series_order(b)  # dominance check
-        sign = 1.0 if diag.imag[0] > 0 else -1.0
-        n = len(self.laws)
-        poles = np.array([self.laws[p % n].pole(sign) for p in range(len(diag))])
-        res = linalg.inverse(b - np.diag(poles))
-        return -res @ h @ res
-
-    def sample(self, big_dim: int, gen) -> np.ndarray:
-        n = len(self.laws)
-        blocks = []
-        if self.mode == "free":
-            for law in self.laws:
-                blocks.append(measures.realization(law, big_dim, gen))
-        elif self.mode == "classical":
-            for law in self.laws:
-                blocks.append(np.diag(_iid_samples(law, big_dim, gen)).astype(complex))
-        elif self.mode == "equal":
-            shared = measures.realization(self.laws[0], big_dim, gen)
-            if any(law != self.laws[0] for law in self.laws):
-                raise UnsupportedPoint("equal mode requires identical laws")
-            blocks = [shared] * n
-        else:
-            raise UnsupportedPoint("boolean independence has no matrix model here")
-        return scipy.linalg.block_diag(*blocks)
-
-
-def _iid_samples(law: measures.ScalarMeasure, count: int, gen) -> np.ndarray:
-    return np.array([law.quantile(p) for p in gen.random(count)])
 
 
 # ---------------------------------------------------------------------------

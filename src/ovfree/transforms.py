@@ -35,6 +35,8 @@ from .ovdist import OVDistribution, ScalarEmbedded
 _JACOBIAN_SAFETY = 0.9     # shrink on the measured smallest singular value
 _VARIATION_SAFETY = 1.5    # inflate on the sampled sphere variation
 _CHART_RADIUS_FACTOR = 0.5  # chart ball radius R = factor * lam
+_NEWTON_RESIDUAL_TOL = 1e-11  # invert_G's residual, relative to max(1, ||target||)
+_NEWTON_MAX_STEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +257,13 @@ def bloch_certify(dist: OVDistribution, lam: float, n_pairs: int,
 # certified inversion
 
 
-def invert_G(dist: OVDistribution, ball: CertifiedBall, target,
-             residual_tol: float = 1e-11, max_steps: int = 100) -> np.ndarray:
+def invert_G(dist: OVDistribution, ball: CertifiedBall, target) -> np.ndarray:
     """Solve G(b) = target for the unique b with b^{-1} in the certified ball.
 
     Newton iteration on the chart map, started at the ball center.  The
     target must lie in the certified image ball; the returned argument
-    satisfies the residual tolerance in Frobenius norm.
+    meets ``_NEWTON_RESIDUAL_TOL`` in Frobenius norm within
+    ``_NEWTON_MAX_STEPS`` steps, else :class:`NoConvergence` is raised.
     """
     target = linalg.as_matrix(target)
     if target.shape != ball.center.shape:
@@ -274,10 +276,10 @@ def invert_G(dist: OVDistribution, ball: CertifiedBall, target,
     dim = target.shape[0]
     w = ball.center.copy()
     scale = max(1.0, float(np.linalg.norm(target)))
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_MAX_STEPS):
         value = k_map(dist, w)
         residual = value - target
-        if np.linalg.norm(residual) <= residual_tol * scale:
+        if np.linalg.norm(residual) <= _NEWTON_RESIDUAL_TOL * scale:
             return linalg.inverse(w)
         jac = k_jacobian(dist, w)
         step = np.linalg.solve(jac, -residual.reshape(-1)).reshape(dim, dim)

@@ -76,13 +76,14 @@ class TestGoldenArtifacts:
         assert doc["result"]["image_radius"] > 0
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        # 1 takes the serial branch, 3 the thread pool (3 points).
+        # convolve always maps its 3 points through one thread pool; this
+        # compares that pool with 1 worker against the same pool with 3.
         monkeypatch.setenv("OVFREE_THREADS", "1")
-        serial = _run_golden_config(tmp_path, monkeypatch, "convolve", "serial")
+        one = _run_golden_config(tmp_path, monkeypatch, "convolve", "one")
         monkeypatch.setenv("OVFREE_THREADS", "3")
-        pooled = _run_golden_config(tmp_path, monkeypatch, "convolve", "pooled")
-        assert serial == pooled
-        assert_matches_golden(pooled, DATA / "golden_convolve.csv")
+        three = _run_golden_config(tmp_path, monkeypatch, "convolve", "three")
+        assert one == three
+        assert_matches_golden(three, DATA / "golden_convolve.csv")
 
     @pytest.mark.skipif(
         "DYNAMIC_ARCH" not in blas_config().get("openblas configuration", ""),

@@ -169,6 +169,22 @@ def test_free_mode_mc_delegation_is_deterministic():
     assert mo.mixed_moment(word) == mo.mixed_moment(word)
 
 
+def test_free_memo_is_bounded_by_entries(monkeypatch):
+    monkeypatch.setattr(mo, "_FREE_MEMO", {})
+    monkeypatch.setattr(mo, "_free_memo_entries", 0)
+    monkeypatch.setattr(mo, "_FREE_MEMO_CAP", 4)
+    c1, c2 = ms.Cauchy(0.3, 0.8), ms.Cauchy(-0.5, 1.2)
+    long_word = mo.ResolventWord(
+        ((2j, 0), (1 + 1.5j, 1), (2j, 0), (-0.4 + 1j, 1), (1.5j, 0)), (c1, c2), "free")
+    first = mo.mixed_moment(long_word)
+    assert mo._free_memo_entries == len(mo._FREE_MEMO[(c1, c2)]) > 4
+    # the next call starts past the cap, so it clears the memo first
+    mo.mixed_moment(mo.ResolventWord(((2j, 0), (3j, 1)), (c2, c1), "free"))
+    assert list(mo._FREE_MEMO) == [(c2, c1)]
+    assert mo._free_memo_entries == len(mo._FREE_MEMO[(c2, c1)])
+    assert mo.mixed_moment(long_word) == first
+
+
 def test_boolean_splits_at_index_changes():
     c = ms.Cauchy(0, 1)
     letters = ((2j, 0), (2j, 0), (3j, 1), (2j, 0))

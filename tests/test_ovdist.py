@@ -3,8 +3,8 @@ import pytest
 import scipy.integrate
 
 from ovfree import linalg, measures as ms, ovdist as ov, rng as rngmod
-from ovfree.errors import (DimensionMismatch, MixerSyntaxError, OutsideResolvent,
-                           RealAxisPoint, UnsupportedPoint)
+from ovfree.errors import (DimensionMismatch, MixerSyntaxError, NoConvergence,
+                           OutsideResolvent, RealAxisPoint, UnsupportedPoint)
 
 
 def central_diff_dG(dist, b, h, eps=1e-6):
@@ -198,66 +198,25 @@ class TestOVSemicircular:
         with pytest.raises(DimensionMismatch):
             ov.OVSemicircular((np.eye(2), np.eye(3)))
 
+    @pytest.mark.parametrize("b", [
+        np.diag([2j, 2.5j]) + 0.2,
+        linalg.direct_sum(np.diag([2j, 2.5j]) + 0.2, np.diag([1.7j, -3j]))
+        + 0.05 * (np.eye(4, k=2) + np.eye(4, k=-2)),
+    ], ids=["dim2", "amplified-dim4"])
+    def test_direct_derivative_solve_matches_fixed_point(self, b):
+        dist = ov.OVSemicircular((np.array([[0.6, 0.2], [0.2, 0.3]]),
+                                  np.array([[0.1, 0.0], [0.0, 0.4]])))
+        m = b.shape[0]
+        h = (np.arange(m * m).reshape(m, m) % 5 - 2) * (0.1 + 0.05j)
+        g = dist.eval_G(b)
+        fixed = dist.eval_dG(b, h)
+        direct = dist._eval_dG_direct(g, -g @ h @ g, m // 2)
+        assert np.abs(direct - fixed).max() <= 1e-12 * np.abs(fixed).max()
 
-# ---------------------------------------------------------------------------
-# independent laws on the diagonal
-
-
-class TestDiagonalIndependent:
-    def setup_method(self):
-        self.laws = (ms.Cauchy(0.0, 1.0), ms.Cauchy(0.5, 0.7))
-        self.dist = ov.DiagonalIndependent(self.laws, "free")
-        self.poles = np.diag([-1j, 0.5 - 0.7j])
-
-    def test_matches_virtual_pole_closed_form(self):
-        b = np.array([[2j, 0.2], [0.1, 3j]])
-        got = self.dist.eval_G(b)
-        np.testing.assert_allclose(got, np.linalg.inv(b - self.poles), atol=1e-11)
-
-    def test_amplified_argument(self):
-        b = np.kron(np.eye(2), np.array([[2j, 0.2], [0.1, 3j]]))
-        b += 0.05 * (np.eye(4, k=2) + np.eye(4, k=-2))
-        got = self.dist.eval_G(b)
-        np.testing.assert_allclose(got, np.linalg.inv(b - np.kron(np.eye(2), self.poles)),
-                                   atol=1e-11)
-
-    def test_derivative(self):
-        b = np.array([[2j, 0.2], [0.1, 3j]])
-        h = np.array([[0.1, 0.05], [0.02j, -0.1]])
-        np.testing.assert_allclose(self.dist.eval_dG(b, h),
-                                   central_diff_dG(self.dist, b, h), atol=1e-8)
-
-    def test_dominance_gate(self):
-        with pytest.raises(UnsupportedPoint):
-            self.dist.eval_G(np.array([[0.2j, 5.0], [5.0, 0.2j]]))
-
-    def test_sampled_transform_matches(self):
-        b = np.array([[2j, 0.2], [0.1, 3j]])
-        est = ov.mc_estimate_G(self.dist, b, big_dim=400, trials=6, seed=2)
-        assert np.abs(est.mean - np.linalg.inv(b - self.poles)).max() \
-            <= max(4 * est.stderr, 2e-4)
-
-    def test_classical_mode_samples_commute(self):
-        dist = ov.DiagonalIndependent((ms.Bernoulli(1, 0), ms.Semicircle(1.0)),
-                                      "classical")
-        t = dist.sample(5, rngmod.stream(1, 0))
-        assert t.shape == (10, 10)
-        assert np.abs(t - np.diag(np.diagonal(t))).max() == 0.0
-
-    def test_boolean_mode_has_no_model(self):
-        dist = ov.DiagonalIndependent((ms.Cauchy(0, 1),), "boolean")
-        with pytest.raises(UnsupportedPoint):
-            dist.sample(4, rngmod.stream(0, 0))
-
-    def test_non_cauchy_derivative_unsupported(self):
-        dist = ov.DiagonalIndependent((ms.Semicircle(1.0),), "free")
-        with pytest.raises(UnsupportedPoint):
-            dist.eval_dG(np.array([[2j]]), np.array([[1.0]]))
-
-    def test_norm_bound(self):
-        assert self.dist.norm_bound() == np.inf
-        bounded = ov.DiagonalIndependent((ms.Bernoulli(1, 0), ms.Arcsine(2.0)))
-        assert bounded.norm_bound() == pytest.approx(2.0)
+    def test_direct_derivative_solve_refuses_large_arguments(self):
+        dist = ov.OVSemicircular((0.5,))
+        with pytest.raises(NoConvergence):
+            dist._eval_dG_direct(np.eye(33), np.zeros((33, 33)), 33)
 
 
 # ---------------------------------------------------------------------------
