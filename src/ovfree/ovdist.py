@@ -4,10 +4,15 @@ Each variant knows how to evaluate the matrix Cauchy transform
 
     G(b) = E[(b - a (x) 1)^{-1}]
 
-at matrix arguments whose spectrum avoids the real axis, together with its
-directional derivative.  Arguments may be amplified: a distribution of base
-dimension n accepts any (n k) x (n k) argument and treats the operator as
-1_k (x) a, so direct sums of certified points stay inside the calculus.
+at matrix arguments whose spectrum avoids the real axis.  Arguments may be
+amplified: a distribution of base dimension n accepts any (n k) x (n k)
+argument and treats the operator as 1_k (x) a, so direct sums of certified
+points stay inside the calculus.  G is thus a matricial function, and every
+variant's ``eval_dG`` reads the derivative off its own ``eval_G``:
+
+    G([[b, h], [0, b]]) = [[G(b), dG_b[h]], [0, G(b)]],
+
+so a derivative at b needs edge(b) <= ``linalg.MAX_DIM // 2``.
 
 Variants that admit a faithful random-matrix realization also expose
 ``sample``; :func:`mc_estimate_G` turns samples into a G estimate with a
@@ -21,14 +26,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, measures, rng as rngmod
 from .errors import (DimensionMismatch, MixerSyntaxError, NoConvergence,
                      OutsideResolvent, RealAxisPoint, SingularMatrix,
                      UnsupportedPoint)
 
-_NORMALITY_TOL = 1e-12
 _FIXED_POINT_TOL = 1e-13
 _FIXED_POINT_MAX_ITER = 20000
 
@@ -42,6 +45,10 @@ class OVDistribution:
         raise NotImplementedError
 
     def eval_dG(self, b, h) -> np.ndarray:
+        """Directional derivative dG_b[h], the corner of G([[b, h], [0, b]]).
+
+        Raises :class:`DimensionMismatch` when edge(b) > ``linalg.MAX_DIM // 2``.
+        """
         raise NotImplementedError
 
     def norm_bound(self) -> float:
@@ -66,18 +73,6 @@ def _spectrum_off_axis(b: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def _schur_if_normal(b: np.ndarray):
-    """Unitary diagonalization when b is normal, else None."""
-    scale = np.linalg.norm(b) or 1.0
-    if np.linalg.norm(b @ b.conj().T - b.conj().T @ b) > _NORMALITY_TOL * scale ** 2:
-        return None
-    t, v = scipy.linalg.schur(b, output="complex")
-    off = t - np.diag(np.diagonal(t))
-    if np.linalg.norm(off) > 1e-10 * scale:
-        return None
-    return np.diagonal(t).copy(), v
-
-
 # ---------------------------------------------------------------------------
 # scalar law embedded on the diagonal
 
@@ -97,49 +92,29 @@ class ScalarEmbedded(OVDistribution):
         res = _cauchy_resolvent(self.law, b)
         if res is not None:
             return res
-        normal = _schur_if_normal(b)
-        if normal is not None:
-            eigs, v = normal
-            gvals = np.array([measures.g_scalar(self.law, z) for z in eigs])
-            return (v * gvals) @ v.conj().T
         _spectrum_off_axis(b)
-        return self._integrate(b, lambda res: res)
+        return self._integrate(b)
 
     def eval_dG(self, b, h) -> np.ndarray:
-        b = self._check_arg(b)
-        h = linalg.as_matrix(h)
-        if h.shape != b.shape:
-            raise DimensionMismatch("direction must match the argument's shape")
-        res = _cauchy_resolvent(self.law, b)
-        if res is not None:
-            return -res @ h @ res
-        normal = _schur_if_normal(b)
-        if normal is not None:
-            eigs, v = normal
-            dd = _g_divided_differences(self.law, eigs)
-            mh = v.conj().T @ h @ v
-            return v @ (-dd * mh) @ v.conj().T
-        _spectrum_off_axis(b)
-        return self._integrate(b, lambda res: -res @ h @ res)
+        return _corner_derivative(self, b, h)
 
     def sample(self, big_dim: int, gen) -> np.ndarray:
         return np.kron(np.eye(self.base_dim),
                        measures.realization(self.law, big_dim, gen))
 
-    def _integrate(self, b, combine):
+    def _integrate(self, b):
         m = b.shape[0]
         eye = np.eye(m)
         total = np.zeros((m, m), dtype=complex)
         for pos, weight in self.law.atoms():
-            total += weight * combine(np.linalg.inv(b - pos * eye))
+            total += weight * np.linalg.inv(b - pos * eye)
 
         def chunk(seg):
             def fn(thetas):
                 ts = seg.t_of(thetas)
                 ws = seg.weight(thetas)
                 res = np.linalg.inv(b[None, :, :] - ts[:, None, None] * eye[None, :, :])
-                vals = np.stack([combine(r) for r in res])
-                return vals * ws[:, None, None]
+                return res * ws[:, None, None]
             return fn
 
         for seg in self.law.segments():
@@ -162,20 +137,29 @@ def _cauchy_resolvent(law, b: np.ndarray):
     return None
 
 
-def _g_divided_differences(law, eigs: np.ndarray) -> np.ndarray:
-    """Matrix of (g(x)-g(y))/(x-y), with -g'(x) on coincidences."""
-    m = len(eigs)
-    g = np.array([measures.g_scalar(law, z) for z in eigs])
-    out = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            dz = eigs[i] - eigs[j]
-            if abs(dz) < 1e-10 * max(1.0, abs(eigs[i])):
-                out[i, j] = measures.g_derivative(law, eigs[i], 1)
-            else:
-                out[i, j] = (g[i] - g[j]) / dz
-    # divided difference of g equals -integral of the product resolvent
-    return -out
+def _corner_derivative(dist: OVDistribution, b, h) -> np.ndarray:
+    """dG_b[h] as the top-right block of dist.eval_G([[b, s h], [0, b]]) / s.
+
+    The corner is linear in h, so a power-of-two s changes no rounding.  When
+    b lies in an open half-plane, s is the largest one with s ||h|| <= margin:
+    the block keeps half of b's margin, so it stays in b's half-plane (closed
+    forms still apply) and its corner obeys the 1/margin bound of G(b).
+    """
+    b = dist._check_arg(b)
+    h = linalg.as_matrix(h)
+    if h.shape != b.shape:
+        raise DimensionMismatch("direction must match the argument's shape")
+    m = b.shape[0]
+    if 2 * m > linalg.MAX_DIM:
+        raise DimensionMismatch(f"eval_dG at dim {m} needs a {2 * m}-dim block argument; "
+                                f"dims up to {linalg.MAX_DIM // 2} are supported")
+    margin = max(linalg.half_plane_margin(b), linalg.half_plane_margin(-b))
+    norm_h = np.linalg.norm(h)
+    scale = 1.0
+    if margin > 0 and norm_h > 0:
+        scale = math.ldexp(1.0, math.frexp(margin / norm_h)[1] - 1)
+    block = np.block([[b, scale * h], [np.zeros_like(b), b]])
+    return dist.eval_G(block)[:m, m:] / scale
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +197,7 @@ class DiracB(OVDistribution):
             raise OutsideResolvent("argument meets the operator's spectrum") from exc
 
     def eval_dG(self, b, h) -> np.ndarray:
-        res = self.eval_G(b)
-        h = linalg.as_matrix(h)
-        return -res @ h @ res
+        return _corner_derivative(self, b, h)
 
     def sample(self, big_dim: int, gen) -> np.ndarray:
         return np.kron(self.operator, np.eye(big_dim))
@@ -246,21 +228,19 @@ class OVSemicircular(OVDistribution):
         eta_one = sum(a @ a.conj().T for a in self.coefficients)
         return 2.0 * math.sqrt(linalg.operator_norm(eta_one))
 
-    def _eta(self, w: np.ndarray, k: int) -> np.ndarray:
-        out = np.zeros_like(w)
-        for a in self.coefficients:
-            big = np.kron(np.eye(k), a)
-            out += big @ w @ big.conj().T
-        return out
-
     def eval_G(self, b) -> np.ndarray:
         b = self._check_arg(b)
         k = b.shape[0] // self.base_dim
+        bigs = [np.kron(np.eye(k), a) for a in self.coefficients]
+        amplified = [(big, big.conj().T) for big in bigs]
         g = linalg.inverse(b)
         theta = 0.5
         for _ in range(_FIXED_POINT_MAX_ITER):
+            eta = np.zeros_like(g)
+            for big, big_adj in amplified:
+                eta += big @ g @ big_adj
             try:
-                nxt = np.linalg.inv(b - self._eta(g, k))
+                nxt = np.linalg.inv(b - eta)
             except np.linalg.LinAlgError as exc:
                 raise NoConvergence("fixed point left the invertible set") from exc
             g_new = (1 - theta) * g + theta * nxt
@@ -270,33 +250,7 @@ class OVSemicircular(OVDistribution):
         raise NoConvergence("subordination fixed point did not settle")
 
     def eval_dG(self, b, h) -> np.ndarray:
-        b = self._check_arg(b)
-        h = linalg.as_matrix(h)
-        g = self.eval_G(b)
-        k = b.shape[0] // self.base_dim
-        # dG solves dG = -G (h - eta(dG)) G, a linear fixed point
-        rhs = -g @ h @ g
-        dg = rhs.copy()
-        for _ in range(_FIXED_POINT_MAX_ITER):
-            nxt = rhs + g @ self._eta(dg, k) @ g
-            if np.abs(nxt - dg).max() <= _FIXED_POINT_TOL * max(1.0, np.abs(rhs).max()):
-                return nxt
-            dg = nxt
-        return self._eval_dG_direct(g, rhs, k)
-
-    def _eval_dG_direct(self, g, rhs, k):
-        m = g.shape[0]
-        if m > 32:
-            raise NoConvergence("derivative fixed point stalled and the "
-                                "direct solve would be too large")
-        lhs = np.eye(m * m, dtype=complex)
-        for a in self.coefficients:
-            big = np.kron(np.eye(k), a)
-            left = g @ big
-            right = big.conj().T @ g
-            lhs -= np.kron(right.T, left)
-        vec = np.linalg.solve(lhs, rhs.reshape(-1, order="F"))
-        return vec.reshape((m, m), order="F")
+        return _corner_derivative(self, b, h)
 
     def sample(self, big_dim: int, gen) -> np.ndarray:
         for a in self.coefficients:

@@ -35,6 +35,24 @@ def _run_golden_config(tmp_path, monkeypatch, name, label):
     return (workdir / "out.csv").read_bytes()
 
 
+def _fresh_interpreter_env(**extra):
+    """Environment in which a new interpreter imports this checkout's package."""
+    package_root = pathlib.Path(ovfree.__file__).resolve().parents[1]
+    inherited = [os.path.abspath(entry) for entry
+                 in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join([str(package_root)] + inherited))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package never imports it
+    probe = ("import sys, ovfree.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_fresh_interpreter_env(),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
+
+
 class TestGoldenArtifacts:
     """Bytes are exact within one environment; goldens agree within TOL."""
 
@@ -91,11 +109,7 @@ class TestGoldenArtifacts:
     def test_goldens_hold_under_another_blas_kernel(self, tmp_path):
         # Prescott is the oldest x86-64 kernel; its last bits differ from the
         # kernels a modern CPU selects, which is the cross-environment case.
-        package_root = pathlib.Path(ovfree.__file__).resolve().parents[1]
-        inherited = [os.path.abspath(entry) for entry
-                     in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
-        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
-                   PYTHONPATH=os.pathsep.join([str(package_root)] + inherited))
+        env = _fresh_interpreter_env(OPENBLAS_CORETYPE="Prescott")
         for name in ("convolve", "truncate"):
             workdir = tmp_path / name
             workdir.mkdir()

@@ -3,8 +3,9 @@ import pytest
 import scipy.integrate
 
 from ovfree import linalg, measures as ms, ovdist as ov, rng as rngmod
-from ovfree.errors import (DimensionMismatch, MixerSyntaxError, NoConvergence,
-                           OutsideResolvent, RealAxisPoint, UnsupportedPoint)
+from ovfree import transforms as tr
+from ovfree.errors import (DimensionMismatch, MixerSyntaxError, OutsideResolvent,
+                           RealAxisPoint, UnsupportedPoint)
 
 
 def central_diff_dG(dist, b, h, eps=1e-6):
@@ -83,9 +84,17 @@ class TestScalarEmbedded:
         (np.array([[2j, 0.3], [0.1, 3j]]), -1j),
         (np.array([[-2j, 0.3], [0.1, -3j]]), 1j),
     ], ids=["upper", "lower"])
-    def test_cauchy_derivative_closed_form(self, b, pole):
+    def test_cauchy_derivative_closed_form(self, b, pole, monkeypatch):
+        # ||h|| >= 2 margin: the unscaled block [[b, h], [0, b]] leaves b's
+        # half-plane, so only the power-of-two scaling keeps the closed form
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the half-plane derivative ran quadrature")
+
+        monkeypatch.setattr(ms, "adaptive_integral", no_quadrature)
         se = ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0))
-        h = np.array([[1.0, 0.2], [0.0, -0.5]])
+        h = 8.0 * np.array([[1.0, 0.2], [0.0, -0.5]])
+        margin = max(linalg.half_plane_margin(b), linalg.half_plane_margin(-b))
+        assert linalg.operator_norm(h) >= 2 * margin
         res = np.linalg.inv(b - pole * np.eye(2))
         np.testing.assert_allclose(se.eval_dG(b, h), -res @ h @ res, atol=1e-13)
 
@@ -93,11 +102,6 @@ class TestScalarEmbedded:
         se = ov.ScalarEmbedded(ms.Semicircle(1.0))
         with pytest.raises(RealAxisPoint):
             se.eval_G(np.array([[1.0, 2.0], [0.5, -1.0]]))
-
-    def test_direction_shape_checked(self):
-        se = ov.ScalarEmbedded(ms.Semicircle(1.0))
-        with pytest.raises(DimensionMismatch):
-            se.eval_dG(np.diag([2j, 3j]), np.eye(3))
 
     def test_half_plane_is_preserved(self, rng):
         from conftest import random_half_plane
@@ -198,25 +202,51 @@ class TestOVSemicircular:
         with pytest.raises(DimensionMismatch):
             ov.OVSemicircular((np.eye(2), np.eye(3)))
 
-    @pytest.mark.parametrize("b", [
-        np.diag([2j, 2.5j]) + 0.2,
-        linalg.direct_sum(np.diag([2j, 2.5j]) + 0.2, np.diag([1.7j, -3j]))
-        + 0.05 * (np.eye(4, k=2) + np.eye(4, k=-2)),
-    ], ids=["dim2", "amplified-dim4"])
-    def test_direct_derivative_solve_matches_fixed_point(self, b):
+    @pytest.mark.parametrize("b, h", [
+        (np.diag([2j, 2.5j]) + 0.2, None),
+        (linalg.direct_sum(np.diag([2j, 2.5j]) + 0.2, np.diag([1.7j, -3j]))
+         + 0.05 * (np.eye(4, k=2) + np.eye(4, k=-2)), None),
+        (tr.base_point(0.01, 1, 2), 10.0 * np.ones((4, 4))),
+    ], ids=["dim2", "amplified-dim4", "large-derivative"])
+    def test_derivative_matches_kronecker_solve(self, b, h):
         dist = ov.OVSemicircular((np.array([[0.6, 0.2], [0.2, 0.3]]),
                                   np.array([[0.1, 0.0], [0.0, 0.4]])))
-        m = b.shape[0]
-        h = (np.arange(m * m).reshape(m, m) % 5 - 2) * (0.1 + 0.05j)
+        m, k = b.shape[0], b.shape[0] // 2
+        if h is None:
+            h = (np.arange(m * m).reshape(m, m) % 5 - 2) * (0.1 + 0.05j)
+        # dG solves dG - G eta(dG) G = -G h G; vec(A X B) = (B^T (x) A) vec(X)
         g = dist.eval_G(b)
-        fixed = dist.eval_dG(b, h)
-        direct = dist._eval_dG_direct(g, -g @ h @ g, m // 2)
-        assert np.abs(direct - fixed).max() <= 1e-12 * np.abs(fixed).max()
+        lhs = np.eye(m * m, dtype=complex)
+        for a in dist.coefficients:
+            big = np.kron(np.eye(k), a)
+            lhs -= np.kron((big.conj().T @ g).T, g @ big)
+        vec = np.linalg.solve(lhs, (-g @ h @ g).reshape(-1, order="F"))
+        expected = vec.reshape((m, m), order="F")
+        got = dist.eval_dG(b, h)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_direct_derivative_solve_refuses_large_arguments(self):
-        dist = ov.OVSemicircular((0.5,))
-        with pytest.raises(NoConvergence):
-            dist._eval_dG_direct(np.eye(33), np.zeros((33, 33)), 33)
+
+# ---------------------------------------------------------------------------
+# derivatives read off the block argument, shared by every variant
+
+DERIVATIVE_DISTS = {
+    "scalar-embedded": ov.ScalarEmbedded(ms.Semicircle(1.0)),
+    "dirac": ov.DiracB(np.array([[0.5]])),
+    "ov-semicircular": ov.OVSemicircular((0.5,)),
+}
+
+
+@pytest.mark.parametrize("dist", DERIVATIVE_DISTS.values(), ids=DERIVATIVE_DISTS.keys())
+def test_direction_shape_checked(dist):
+    with pytest.raises(DimensionMismatch):
+        dist.eval_dG(np.diag([2j, 3j]), np.eye(3))
+
+
+@pytest.mark.parametrize("dist", DERIVATIVE_DISTS.values(), ids=DERIVATIVE_DISTS.keys())
+def test_derivative_dim_limit(dist):
+    m = linalg.MAX_DIM // 2 + 1
+    with pytest.raises(DimensionMismatch, match=f"dim {m} "):
+        dist.eval_dG(2j * np.eye(m), np.eye(m))
 
 
 # ---------------------------------------------------------------------------
