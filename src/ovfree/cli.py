@@ -18,6 +18,7 @@ import ast
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -146,6 +147,18 @@ CONFIG_SCHEMA = {
 
 class _SchemaViolation(Exception):
     """Malformed params caught after jsonschema's structural pass."""
+
+
+def _require_finite(obj, path: str):
+    """Reject Infinity and NaN, which JSON parsing and the schema's "number" accept."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"{path} must be a finite number, got {obj!r}")
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _require_finite(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _require_finite(value, f"{path}[{i}]")
 
 
 def _law(obj: dict) -> measures.ScalarMeasure:
@@ -458,6 +471,7 @@ def run_config(config: dict) -> int:
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
         jsonschema.validate(config["params"], PARAM_SCHEMAS[config["command"]])
+        _require_finite(config["params"], "params")
         _max_workers(1)  # surfaces a malformed OVFREE_THREADS before running
     except jsonschema.ValidationError as exc:
         return _error_json(2, "SchemaError", exc.message)

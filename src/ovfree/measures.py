@@ -1,12 +1,15 @@
 """Scalar probability laws and their analytic transforms.
 
-Each law knows its atoms and (for continuous parts) a smooth quadrature
-parametrization, so a single adaptive integrator serves every variant.  Heavy
-tails are tamed by substitution: a Cauchy density becomes a *uniform* density
-in the angle t = location + scale*tan(theta), semicircle/arcsine densities
-become trigonometric polynomials in t = edge*sin(theta).  Closed forms are
-kept for the variants where they exist; they double as test oracles for the
-quadrature path.
+A law is its atoms plus its continuous part, the latter as segments with a
+smooth quadrature parametrization, and :func:`expect` is the one place that
+takes an expectation against it: the atom sum, then one adaptive integral per
+segment.  Heavy tails are tamed by substitution: a Cauchy density becomes a
+*uniform* density in the angle t = location + scale*tan(theta),
+semicircle/arcsine densities become trigonometric polynomials in
+t = edge*sin(theta).  Finite laws (point masses, Bernoulli laws, frozen
+quadrature rules) are all :class:`Atomic`.  Only Cauchy keeps a closed form,
+the residue at its virtual pole; every other transform goes through
+:func:`expect`.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from . import rng as rngmod
 from .errors import DimensionMismatch, NoConvergence, RealAxisPoint
 
 _WEIGHT_TOL = 1e-12
-# quadrature tolerance of g_scalar and g_derivative
-_TRANSFORM_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # adaptive panel quadrature (shared by scalar and matrix-valued integrands)
@@ -97,8 +98,6 @@ class Segment:
 class ScalarMeasure:
     """Base class: a probability law on the real line."""
 
-    variant = "abstract"
-
     def atoms(self) -> tuple:
         """Discrete part as ((position, weight), ...)."""
         return ()
@@ -125,32 +124,13 @@ class ScalarMeasure:
     def quantile(self, p: float) -> float:
         raise NotImplementedError
 
-    def closed_form_g(self, z: complex):
-        """Closed-form Cauchy transform, or None when quadrature is the path."""
-        return None
-
     def closed_form_g_derivative(self, z: complex, order: int):
+        """Closed-form g^(order)(z) (order 0 is g), or None when :func:`expect` is the path."""
         return None
 
     def support_bound(self) -> float:
         """Radius of an interval containing the support (inf for heavy tails)."""
         return math.inf
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def _discrete_quantile(self, p: float) -> float:
-        """Left-continuous generalized inverse for purely atomic laws.
-
-        Ties land on the smaller atom position.
-        """
-        atoms = sorted(self.atoms())
-        acc = 0.0
-        for pos, w in atoms:
-            acc += w
-            if acc >= p - _WEIGHT_TOL:
-                return pos
-        return atoms[-1][0]
 
 
 def _require(cond: bool, message: str):
@@ -162,7 +142,6 @@ def _require(cond: bool, message: str):
 class Cauchy(ScalarMeasure):
     location: float = 0.0
     scale: float = 1.0
-    variant = "cauchy"
 
     def __post_init__(self):
         _require(self.scale > 0, "cauchy scale must be positive")
@@ -183,88 +162,22 @@ class Cauchy(ScalarMeasure):
         """Virtual pole: g(z) = 1/(z - pole) on the half-plane sign(Im z) = sign."""
         return self.location - 1j * self.scale * sign
 
-    def closed_form_g(self, z):
+    def closed_form_g_derivative(self, z, order):
         # The density pole in the opposite half-plane is the only residue.
         shift = 1j * self.scale if z.imag > 0 else -1j * self.scale
-        return 1.0 / (z - self.location + shift)
-
-    def closed_form_g_derivative(self, z, order):
-        shift = 1j * self.scale if z.imag > 0 else -1j * self.scale
         return (-1.0) ** order * math.factorial(order) * (z - self.location + shift) ** (-(order + 1))
-
-    def to_json(self):
-        return {"variant": "cauchy", "location": self.location, "scale": self.scale}
-
-
-@dataclass(frozen=True)
-class PointMass(ScalarMeasure):
-    position: float = 0.0
-    variant = "pointmass"
-
-    def atoms(self):
-        return ((self.position, 1.0),)
-
-    def cdf(self, x):
-        return 1.0 if x >= self.position else 0.0
-
-    def quantile(self, p):
-        return self.position
-
-    def closed_form_g(self, z):
-        return 1.0 / (z - self.position)
-
-    def closed_form_g_derivative(self, z, order):
-        return (-1.0) ** order * math.factorial(order) * (z - self.position) ** (-(order + 1))
-
-    def support_bound(self):
-        return abs(self.position)
-
-    def to_json(self):
-        return {"variant": "pointmass", "position": self.position}
-
-
-@dataclass(frozen=True)
-class Bernoulli(ScalarMeasure):
-    """Two symmetric atoms of weight 1/2 at center +- radius."""
-
-    radius: float = 1.0
-    center: float = 0.0
-    variant = "bernoulli"
-
-    def __post_init__(self):
-        _require(self.radius > 0, "bernoulli radius must be positive")
-
-    def atoms(self):
-        return ((self.center - self.radius, 0.5), (self.center + self.radius, 0.5))
-
-    def cdf(self, x):
-        return sum(w for p, w in self.atoms() if p <= x)
-
-    def quantile(self, p):
-        return self._discrete_quantile(p)
-
-    def closed_form_g(self, z):
-        u = z - self.center
-        return u / (u * u - self.radius ** 2)
-
-    def closed_form_g_derivative(self, z, order):
-        k = math.factorial(order) * (-1.0) ** order
-        return 0.5 * k * ((z - self.center + self.radius) ** (-(order + 1))
-                          + (z - self.center - self.radius) ** (-(order + 1)))
-
-    def support_bound(self):
-        return abs(self.center) + self.radius
-
-    def to_json(self):
-        return {"variant": "bernoulli", "radius": self.radius, "center": self.center}
 
 
 @dataclass(frozen=True)
 class Atomic(ScalarMeasure):
-    """Finitely many atoms; weights strictly positive and summing to one."""
+    """Finitely many atoms; weights strictly positive and summing to one.
+
+    Point masses, Bernoulli laws and frozen quadrature rules are all built as
+    this class (:func:`point_mass`, :func:`bernoulli`, the ``quadrature`` JSON
+    variant).
+    """
 
     points: tuple = ()
-    variant = "atomic"
 
     def __post_init__(self):
         merged: dict = {}
@@ -283,67 +196,32 @@ class Atomic(ScalarMeasure):
         return sum(w for p, w in self.points if p <= x)
 
     def quantile(self, p):
-        return self._discrete_quantile(p)
-
-    def closed_form_g(self, z):
-        return sum(w / (z - p) for p, w in self.points)
-
-    def closed_form_g_derivative(self, z, order):
-        k = math.factorial(order) * (-1.0) ** order
-        return k * sum(w * (z - p) ** (-(order + 1)) for p, w in self.points)
+        """Left-continuous generalized inverse; ties land on the smaller atom position."""
+        acc = 0.0
+        for pos, w in self.points:
+            acc += w
+            if acc >= p - _WEIGHT_TOL:
+                return pos
+        return self.points[-1][0]
 
     def support_bound(self):
         return max(abs(p) for p, _ in self.points)
 
-    def to_json(self):
-        return {"variant": "atomic", "atoms": [[p, w] for p, w in self.points]}
+
+def point_mass(position: float) -> Atomic:
+    """The Dirac law at ``position``."""
+    return Atomic(points=((position, 1.0),))
 
 
-@dataclass(frozen=True)
-class Quadrature(ScalarMeasure):
-    """Discrete law on an explicit sorted grid (a frozen quadrature rule)."""
-
-    nodes: tuple = ()
-    weights: tuple = ()
-    variant = "quadrature"
-
-    def __post_init__(self):
-        nodes = tuple(float(x) for x in self.nodes)
-        weights = tuple(float(w) for w in self.weights)
-        _require(len(nodes) == len(weights) and len(nodes) > 0, "nodes/weights mismatch")
-        _require(all(b > a for a, b in zip(nodes, nodes[1:])), "nodes must be strictly sorted")
-        _require(all(w > 0 for w in weights), "weights must be positive")
-        _require(abs(sum(weights) - 1.0) <= _WEIGHT_TOL, "weights must sum to 1")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def atoms(self):
-        return tuple(zip(self.nodes, self.weights))
-
-    def cdf(self, x):
-        return sum(w for p, w in self.atoms() if p <= x)
-
-    def quantile(self, p):
-        return self._discrete_quantile(p)
-
-    def closed_form_g(self, z):
-        return sum(w / (z - p) for p, w in self.atoms())
-
-    def closed_form_g_derivative(self, z, order):
-        k = math.factorial(order) * (-1.0) ** order
-        return k * sum(w * (z - p) ** (-(order + 1)) for p, w in self.atoms())
-
-    def support_bound(self):
-        return max(abs(self.nodes[0]), abs(self.nodes[-1]))
-
-    def to_json(self):
-        return {"variant": "quadrature", "nodes": list(self.nodes), "weights": list(self.weights)}
+def bernoulli(radius: float, center: float = 0.0) -> Atomic:
+    """Two symmetric atoms of weight 1/2 at center +- radius."""
+    _require(radius > 0, "bernoulli radius must be positive")
+    return Atomic(points=((center - radius, 0.5), (center + radius, 0.5)))
 
 
 @dataclass(frozen=True)
 class Semicircle(ScalarMeasure):
     variance: float = 1.0
-    variant = "semicircle"
 
     def __post_init__(self):
         _require(self.variance > 0, "semicircle variance must be positive")
@@ -373,14 +251,10 @@ class Semicircle(ScalarMeasure):
     def support_bound(self):
         return self.edge
 
-    def to_json(self):
-        return {"variant": "semicircle", "variance": self.variance}
-
 
 @dataclass(frozen=True)
 class Arcsine(ScalarMeasure):
     radius: float = 2.0
-    variant = "arcsine"
 
     def __post_init__(self):
         _require(self.radius > 0, "arcsine radius must be positive")
@@ -404,9 +278,6 @@ class Arcsine(ScalarMeasure):
     def support_bound(self):
         return self.radius
 
-    def to_json(self):
-        return {"variant": "arcsine", "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class TruncatedMeasure(ScalarMeasure):
@@ -418,7 +289,6 @@ class TruncatedMeasure(ScalarMeasure):
 
     base: ScalarMeasure = None
     cutoff: float = 1.0
-    variant = "truncated"
 
     def __post_init__(self):
         _require(self.cutoff > 0, "cutoff must be positive")
@@ -461,9 +331,6 @@ class TruncatedMeasure(ScalarMeasure):
 
     def support_bound(self):
         return self.cutoff
-
-    def to_json(self):
-        return {"variant": "truncated", "base": self.base.to_json(), "cutoff": self.cutoff}
 
 
 def _clip_segment(seg: Segment, lo_t: float, hi_t: float):
@@ -513,25 +380,39 @@ def _cdf_bisect(cdf, lo, hi, p, iters=200):
 # transforms
 
 
+def expect(law: ScalarMeasure, fn: Callable[[np.ndarray], np.ndarray]):
+    """E[fn(X)] for X ~ ``law``: the atoms in order, then one integral per segment.
+
+    ``fn`` maps support points of shape (k,) to values of shape (k, ...);
+    the result has the trailing shape.
+    """
+    total = 0.0
+    for pos, weight in law.atoms():
+        total += weight * fn(np.array([pos]))[0]
+
+    for seg in law.segments():
+        def integrand(thetas):
+            values = fn(seg.t_of(thetas))
+            ws = seg.weight(thetas)
+            return values * ws.reshape(ws.shape + (1,) * (values.ndim - 1))
+        value, _ = adaptive_integral(integrand, seg.theta_lo, seg.theta_hi)
+        total += value
+    return total
+
+
 def g_scalar(measure: ScalarMeasure, z: complex) -> complex:
     """Cauchy transform g(z) = integral of 1/(z - t) d(mu).
 
-    Closed forms for cauchy/pointmass/bernoulli/atomic/quadrature variants,
-    adaptive quadrature otherwise.  Undefined on the real axis.
+    Closed form for Cauchy, :func:`expect` otherwise.  Undefined on the real
+    axis.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise RealAxisPoint("cauchy transform evaluated on the real axis")
-    cf = measure.closed_form_g(z)
+    cf = measure.closed_form_g_derivative(z, 0)
     if cf is not None:
         return complex(cf)
-    total = sum(w / (z - p) for p, w in measure.atoms())
-    for seg in measure.segments():
-        val, _ = adaptive_integral(
-            lambda th: seg.weight(th) / (z - seg.t_of(th)),
-            seg.theta_lo, seg.theta_hi, tol=_TRANSFORM_TOL)
-        total += complex(val)
-    return complex(total)
+    return complex(expect(measure, lambda t: 1.0 / (z - t)))
 
 
 def f_scalar(measure: ScalarMeasure, z: complex) -> complex:
@@ -553,13 +434,7 @@ def g_derivative(measure: ScalarMeasure, z: complex, order: int) -> complex:
     if cf is not None:
         return complex(cf)
     sign = (-1.0) ** order * math.factorial(order)
-    total = sign * sum(w * (z - p) ** (-(order + 1)) for p, w in measure.atoms())
-    for seg in measure.segments():
-        val, _ = adaptive_integral(
-            lambda th: seg.weight(th) * (z - seg.t_of(th)) ** (-(order + 1)),
-            seg.theta_lo, seg.theta_hi, tol=_TRANSFORM_TOL)
-        total += sign * complex(val)
-    return complex(total)
+    return complex(sign * expect(measure, lambda t: (z - t) ** (-(order + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +527,23 @@ def realization(law: ScalarMeasure, n: int, gen) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _quadrature_from_json(d: dict) -> Atomic:
+    """A frozen quadrature rule: strictly sorted nodes with matching weights."""
+    nodes = tuple(float(x) for x in d["nodes"])
+    weights = tuple(float(w) for w in d["weights"])
+    _require(len(nodes) == len(weights), "nodes/weights mismatch")
+    _require(all(b > a for a, b in zip(nodes, nodes[1:])), "nodes must be strictly sorted")
+    return Atomic(points=tuple(zip(nodes, weights)))
+
+
 _VARIANTS = {
     "cauchy": lambda d: Cauchy(location=float(d["location"]), scale=float(d["scale"])),
-    "pointmass": lambda d: PointMass(position=float(d["position"])),
-    "bernoulli": lambda d: Bernoulli(radius=float(d["radius"]), center=float(d.get("center", 0.0))),
+    "pointmass": lambda d: point_mass(float(d["position"])),
+    "bernoulli": lambda d: bernoulli(float(d["radius"]), float(d.get("center", 0.0))),
     "arcsine": lambda d: Arcsine(radius=float(d["radius"])),
     "semicircle": lambda d: Semicircle(variance=float(d["variance"])),
     "atomic": lambda d: Atomic(points=tuple((float(p), float(w)) for p, w in d["atoms"])),
-    "quadrature": lambda d: Quadrature(nodes=tuple(d["nodes"]), weights=tuple(d["weights"])),
+    "quadrature": _quadrature_from_json,
     "truncated": lambda d: TruncatedMeasure(base=measure_from_json(d["base"]),
                                             cutoff=float(d["cutoff"])),
 }

@@ -103,24 +103,9 @@ class ScalarEmbedded(OVDistribution):
                        measures.realization(self.law, big_dim, gen))
 
     def _integrate(self, b):
-        m = b.shape[0]
-        eye = np.eye(m)
-        total = np.zeros((m, m), dtype=complex)
-        for pos, weight in self.law.atoms():
-            total += weight * np.linalg.inv(b - pos * eye)
-
-        def chunk(seg):
-            def fn(thetas):
-                ts = seg.t_of(thetas)
-                ws = seg.weight(thetas)
-                res = np.linalg.inv(b[None, :, :] - ts[:, None, None] * eye[None, :, :])
-                return res * ws[:, None, None]
-            return fn
-
-        for seg in self.law.segments():
-            value, _ = measures.adaptive_integral(chunk(seg), seg.theta_lo, seg.theta_hi)
-            total += value
-        return total
+        eye = np.eye(b.shape[0])
+        return measures.expect(
+            self.law, lambda ts: np.linalg.inv(b[None] - ts[:, None, None] * eye[None]))
 
 
 def _cauchy_resolvent(law, b: np.ndarray):

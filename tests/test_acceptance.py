@@ -99,8 +99,8 @@ def test_criterion_03_r_transform_additivity():
         (ovdist.ScalarEmbedded(measures.Semicircle(0.0004)),
          ovdist.ScalarEmbedded(measures.Semicircle(0.0009)),
          ovdist.ScalarEmbedded(measures.Semicircle(0.0013)), 0.4),
-        (ovdist.ScalarEmbedded(measures.Bernoulli(0.01, 0.0)),
-         ovdist.ScalarEmbedded(measures.Bernoulli(0.01, 0.0)),
+        (ovdist.ScalarEmbedded(measures.bernoulli(0.01, 0.0)),
+         ovdist.ScalarEmbedded(measures.bernoulli(0.01, 0.0)),
          ovdist.ScalarEmbedded(measures.Arcsine(0.02)), 0.4),
         (ovdist.DiracB(b1), ovdist.DiracB(b2), ovdist.DiracB(b1 + b2), 0.8),
         (ovdist.OVSemicircular((c1,)), ovdist.OVSemicircular((c2,)),
@@ -176,7 +176,7 @@ def test_criterion_04_certified_inversion_radii():
 def test_criterion_05_truncation_bound_grid():
     b = np.array([[0.1 + 2.0j, 0.3], [0.3, -0.2 + 2.4j]])
     laws = (measures.Cauchy(0.0, 1.0), measures.Semicircle(4.0),
-            measures.Bernoulli(0.8, 0.1))
+            measures.bernoulli(0.8, 0.1))
     all_within = True
     worst_slack = 0.0
     for law in laws:
@@ -257,7 +257,7 @@ def test_criterion_07_membership_envelope():
 def test_criterion_08_block_identity():
     gen = rngmod.stream(20260814, 8)
     laws = (measures.Cauchy(0.2, 0.8), measures.Semicircle(1.0),
-            measures.Bernoulli(0.7, -0.1), measures.Arcsine(1.5),
+            measures.bernoulli(0.7, -0.1), measures.Arcsine(1.5),
             measures.Atomic(((-0.5, 0.3), (0.2, 0.45), (1.1, 0.25))))
     worst = 0.0
     for trial in range(50):

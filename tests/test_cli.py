@@ -1,6 +1,7 @@
 """CLI driver: schemas, exit codes, artifacts, goldens, determinism."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -202,6 +203,49 @@ class TestSchemaGate:
     def test_invalid_thread_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OVFREE_THREADS", "zap")
         assert _run(tmp_path, monkeypatch, self.base) == 2
+
+    @pytest.mark.parametrize("law", [
+        {"variant": "quadrature", "nodes": [1.0, 0.0], "weights": [0.5, 0.5]},
+        {"variant": "quadrature", "nodes": [0.0, 1.0], "weights": [1.0]},
+        {"variant": "bernoulli", "radius": 0.0},
+    ], ids=["unsorted-quadrature-nodes", "quadrature-length-mismatch", "bernoulli-radius-0"])
+    def test_malformed_atomic_law(self, law, tmp_path, monkeypatch, capsys):
+        config = {"command": "truncate-sweep", "seed": 0,
+                  "params": {"law": law, "b": {"dim": 1, "re": [[0.0]], "im": [[2.0]]}},
+                  "output": "o.csv"}
+        assert _run(tmp_path, monkeypatch, config) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("config, path", [
+        ({"command": "moments",
+          "params": {"word": [[[0.0, 2.0], 1]], "mode": "equal",
+                     "laws": [{"variant": "cauchy", "location": math.inf, "scale": 1.0}]}},
+         "params.laws[0].location"),
+        ({"command": "moments",
+          "params": {"word": [[[0.0, 2.0], 1]], "mode": "equal",
+                     "laws": [{"variant": "cauchy", "location": 0.0, "scale": math.inf}]}},
+         "params.laws[0].scale"),
+        ({"command": "truncate-sweep",
+          "params": {"law": {"variant": "atomic", "atoms": [[math.inf, 0.5], [0.0, 0.5]]},
+                     "b": {"dim": 1, "re": [[0.0]], "im": [[2.0]]}}},
+         "params.law.atoms[0][0]"),
+        ({"command": "moments",
+          "params": {"word": [[[math.inf, 2.0], 1]], "mode": "equal",
+                     "laws": [{"variant": "cauchy", "location": 0.0, "scale": 1.0}]}},
+         "params.word[0][0][0]"),
+        ({"command": "killer", "params": {"targets": [[0.0, 1.0], [math.nan, 2.0]]}},
+         "params.targets[1][0]"),
+    ], ids=["cauchy-location", "cauchy-scale", "truncate-atom", "word-letter",
+            "killer-target"])
+    def test_non_finite_numbers_are_rejected(self, config, path, tmp_path, monkeypatch,
+                                             capsys):
+        config = dict(config, seed=0, output="-")
+        assert _run(tmp_path, monkeypatch, config) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "SchemaError"
+        assert err["message"].startswith(path + " must be a finite number")
 
 
 class TestNumericalFailures:

@@ -293,9 +293,9 @@ class TestConvergenceCheck:
 
     def test_genuine_limit_keeps_full_mass(self):
         seq = [ovdist.ScalarEmbedded(
-                   measures.Bernoulli(radius=1.0 / n, center=0.0))
+                   measures.bernoulli(radius=1.0 / n, center=0.0))
                for n in (2, 4, 8, 16)]
-        limit = ovdist.ScalarEmbedded(measures.PointMass(0.0))
+        limit = ovdist.ScalarEmbedded(measures.point_mass(0.0))
         report = cv.convergence_check(seq, self.probes, limit)
         assert report.sup_errors[-1] < report.sup_errors[0]
         assert report.limit_mass == pytest.approx(1.0, abs=1e-5)

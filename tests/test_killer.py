@@ -13,7 +13,7 @@ GRID = [2j, 0.5 + 1j, -1.3 + 0.4j, 2.0 - 0.7j, -0.2 - 2.2j]
 class TestBernoulliStage:
     def test_matches_the_two_atom_reciprocal_transform(self):
         stage = killer.BernoulliStage(shift=0.4, radius=1.3)
-        law = measures.Bernoulli(radius=1.3, center=0.4)
+        law = measures.bernoulli(radius=1.3, center=0.4)
         for z in GRID:
             assert stage.value(z) == pytest.approx(measures.f_scalar(law, z),
                                                    abs=1e-12)
@@ -64,7 +64,7 @@ class TestBuildKiller:
             v = z
             for st in stages:
                 v = measures.f_scalar(
-                    measures.Bernoulli(radius=st.radius, center=st.shift), v)
+                    measures.bernoulli(radius=st.radius, center=st.shift), v)
             assert killer.eval_killer(stages, z) == pytest.approx(v, abs=1e-12)
 
     def test_half_plane_preserved(self):

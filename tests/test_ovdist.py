@@ -264,7 +264,7 @@ class TestMatrixModel:
 
     def test_norm_bound_arithmetic(self):
         model = ov.MatrixModel("C1 * X1 * C1 + 0.5 * X2",
-                               (ms.Semicircle(1.0), ms.Bernoulli(1, 0)),
+                               (ms.Semicircle(1.0), ms.bernoulli(1, 0)),
                                (np.diag([1.0, 0.5]),), base_dim=2)
         # |C|^2 * 2 + 0.5 * 1
         assert model.norm_bound() == pytest.approx(2.5)
@@ -273,7 +273,7 @@ class TestMatrixModel:
 
     def test_sample_is_self_adjoint(self):
         model = ov.MatrixModel("C1 * X1 * C1 + 0.5 * X2 - X1",
-                               (ms.Semicircle(1.0), ms.Bernoulli(1, 0)),
+                               (ms.Semicircle(1.0), ms.bernoulli(1, 0)),
                                (np.diag([1.0, 0.5]),), base_dim=2)
         t = model.sample(20, rngmod.stream(3, 0))
         assert t.shape == (40, 40)

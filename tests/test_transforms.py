@@ -231,7 +231,7 @@ class TestRTransform:
 
 class TestBlockIdentity:
     def test_point_mass_frozen_value(self):
-        rep = tr.block_resolvent_identity_check(ms.PointMass(0.0), 3j * np.eye(2))
+        rep = tr.block_resolvent_identity_check(ms.point_mass(0.0), 3j * np.eye(2))
         np.testing.assert_allclose(np.diagonal(rep.lhs), [-0.5j, -0.25j], atol=1e-14)
         assert rep.deviation <= 1e-12
 
@@ -239,7 +239,7 @@ class TestBlockIdentity:
         ms.Semicircle(1.0),
         ms.Cauchy(0.0, 1.0),
         ms.Arcsine(2.0),
-        ms.Bernoulli(1.0, 0.5),
+        ms.bernoulli(1.0, 0.5),
         ms.truncate(ms.Cauchy(0.0, 1.0), 3.0).truncated,
     ])
     def test_identity_across_laws(self, law):
