@@ -214,25 +214,65 @@ class OVSemicircular(OVDistribution):
         return 2.0 * math.sqrt(linalg.operator_norm(eta_one))
 
     def eval_G(self, b) -> np.ndarray:
+        """G(b), the solution of G = (b - eta(G))^{-1}, in two phases from b^{-1}.
+
+        Undamped phase: g <- (b - eta(g))^{-1}.  It continues while each
+        step's max-abs size is below half the previous one, so every observed
+        contraction rate q is < 1/2, and it returns once a step s is at most
+        ``_FIXED_POINT_TOL``; the contraction estimate bounds the error left
+        by q/(1-q) s < s.  A step that fails the rate test, or a singular
+        b - eta(g), ends it.
+
+        Damped fallback: after checking that b's spectrum is off the real
+        axis (else :class:`RealAxisPoint`), restart from b^{-1} with
+        g <- (g + (b - eta(g))^{-1}) / 2 until a step is at most the same
+        tolerance.  Its rate is about 1/2 however weak eta is; it converges
+        to the solution with Im G < 0 when Im b > 0 (Helton, Rashidi Far and
+        Speicher, IMRN 2007).  :class:`NoConvergence` names the phase, the
+        iterations used and the last step size.
+        """
         b = self._check_arg(b)
         k = b.shape[0] // self.base_dim
         bigs = [np.kron(np.eye(k), a) for a in self.coefficients]
         amplified = [(big, big.conj().T) for big in bigs]
-        g = linalg.inverse(b)
-        theta = 0.5
-        for _ in range(_FIXED_POINT_MAX_ITER):
+
+        def resolvent(g):
             eta = np.zeros_like(g)
             for big, big_adj in amplified:
                 eta += big @ g @ big_adj
+            return np.linalg.inv(b - eta)
+
+        start = linalg.inverse(b)
+        g, last = start, math.inf
+        # every step halves at least, so this ends long before the budget
+        for _ in range(_FIXED_POINT_MAX_ITER):
             try:
-                nxt = np.linalg.inv(b - eta)
+                nxt = resolvent(g)
+            except np.linalg.LinAlgError:
+                break
+            step = np.abs(nxt - g).max()
+            if not step < 0.5 * last:
+                break
+            if step <= _FIXED_POINT_TOL:
+                return nxt
+            g, last = nxt, step
+        _spectrum_off_axis(b)
+        g, last = start, math.inf
+        for used in range(1, _FIXED_POINT_MAX_ITER + 1):
+            try:
+                nxt = resolvent(g)
             except np.linalg.LinAlgError as exc:
-                raise NoConvergence("fixed point left the invertible set") from exc
-            g_new = (1 - theta) * g + theta * nxt
-            if np.abs(g_new - g).max() <= _FIXED_POINT_TOL:
+                raise NoConvergence(
+                    "fixed point left the invertible set: damped phase, "
+                    f"{used} iterations, last step {last:.1e}") from exc
+            g_new = 0.5 * g + 0.5 * nxt
+            last = np.abs(g_new - g).max()
+            if last <= _FIXED_POINT_TOL:
                 return g_new
             g = g_new
-        raise NoConvergence("subordination fixed point did not settle")
+        raise NoConvergence(
+            "subordination fixed point did not settle: damped phase, "
+            f"{_FIXED_POINT_MAX_ITER} iterations, last step {last:.1e}")
 
     def eval_dG(self, b, h) -> np.ndarray:
         return _corner_derivative(self, b, h)

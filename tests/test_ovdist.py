@@ -1,11 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.integrate
 
 from ovfree import linalg, measures as ms, ovdist as ov, rng as rngmod
 from ovfree import transforms as tr
-from ovfree.errors import (DimensionMismatch, MixerSyntaxError, OutsideResolvent,
-                           RealAxisPoint, UnsupportedPoint)
+from ovfree.errors import (DimensionMismatch, MixerSyntaxError, NoConvergence,
+                           OutsideResolvent, RealAxisPoint, UnsupportedPoint)
 
 
 def central_diff_dG(dist, b, h, eps=1e-6):
@@ -224,6 +226,77 @@ class TestOVSemicircular:
         expected = vec.reshape((m, m), order="F")
         got = dist.eval_dG(b, h)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("coeffs, b", [
+        # the block argument eval_dG builds at large-derivative: b is in
+        # neither half-plane, so the direction is not rescaled
+        ((np.array([[0.6, 0.2], [0.2, 0.3]]), np.array([[0.1, 0.0], [0.0, 0.4]])),
+         np.block([[tr.base_point(0.01, 1, 2), 10.0 * np.ones((4, 4))],
+                   [np.zeros((4, 4)), tr.base_point(0.01, 1, 2)]])),
+        ((np.array([[1.0]]),), np.array([[0.5 + 1e-6j]])),
+    ], ids=["large-derivative", "near-real-inside-support"])
+    def test_slow_contraction_falls_back_to_the_damped_loop(self, coeffs, b):
+        amplified = [np.kron(np.eye(b.shape[0] // a.shape[0]), a) for a in coeffs]
+        g = np.linalg.inv(b)
+        for _ in range(20000):
+            eta = np.zeros_like(g)
+            for big in amplified:
+                eta += big @ g @ big.conj().T
+            g_new = 0.5 * g + 0.5 * np.linalg.inv(b - eta)
+            if np.abs(g_new - g).max() <= 1e-13:
+                break
+            g = g_new
+        else:
+            pytest.fail("reference damped loop did not settle")
+        assert np.array_equal(ov.OVSemicircular(coeffs).eval_G(b), g_new)
+
+    @staticmethod
+    def _weak_coefficients():
+        a1 = np.array([[1.0, 0.5], [0.5, -0.3]])
+        a2 = np.array([[0.2, 1j], [-1j, 0.6]])
+        return tuple(0.02 * a / np.linalg.norm(a, 2) for a in (a1, a2))
+
+    def test_weak_covariance_settles_in_few_inverses(self, monkeypatch):
+        dist = ov.OVSemicircular(self._weak_coefficients())
+        inv = np.linalg.inv
+        calls = []
+
+        def counting_inv(x):
+            calls.append(1)
+            return inv(x)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        dist.eval_G(tr.base_point(0.4, 2, 2))
+        assert len(calls) <= 10
+
+    def test_weak_covariance_residual(self):
+        coeffs = self._weak_coefficients()
+        b = tr.base_point(0.4, 2, 2)
+        g = ov.OVSemicircular(coeffs).eval_G(b)
+        eta = sum(big @ g @ big.conj().T for big in (np.kron(np.eye(4), a) for a in coeffs))
+        assert np.abs(g - np.linalg.inv(b - eta)).max() <= 1e-13
+
+    @pytest.mark.parametrize("b", [
+        np.array([[0.5]]),
+        np.diag(np.linspace(-1.5, 1.5, 16)),
+    ], ids=["dim1", "dim16"])
+    def test_real_argument_inside_the_support_is_refused_at_once(self, b):
+        start = time.perf_counter()
+        with pytest.raises(RealAxisPoint):
+            ov.OVSemicircular((1.0,)).eval_G(b)
+        assert time.perf_counter() - start <= 0.1
+
+    def test_unsettled_fixed_point_reports_its_state(self, monkeypatch):
+        monkeypatch.setattr(ov, "_FIXED_POINT_MAX_ITER", 3)
+        with pytest.raises(NoConvergence,
+                           match=r"damped phase, 3 iterations, last step \d\.\de[+-]\d\d$"):
+            ov.OVSemicircular((1.0,)).eval_G(np.array([[0.5 + 1e-6j]]))
+
+    @pytest.mark.parametrize("z", [2.5, 5.0, 0.5 + 1e-6j])
+    def test_values_off_the_support_or_the_axis(self, z):
+        expected = (z - np.sqrt(z - 2 + 0j) * np.sqrt(z + 2 + 0j)) / 2
+        got = ov.OVSemicircular((1.0,)).eval_G(np.array([[z]]))[0, 0]
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 ``benchmark/tracing.py`` fails a traced run when a layer it lists in
 ``REQUIRED_CALLS`` records no calls.  This runs the same check on one
-moments-short cycle and one convolve-cauchy item, so a refactor that moves
-work out of a traced layer fails here and not only in a traced benchmark run.
+moments-short cycle, one convolve-cauchy item and two certify-ov items (a
+DiracB certify and an OV-semicircular convolve with Monte Carlo), so a
+refactor that moves work out of a traced layer fails here and not only in a
+traced benchmark run.
 """
 
 import contextlib
@@ -28,7 +30,8 @@ SEED = 3
 @pytest.mark.parametrize("workload, indices", [
     ("moments-short", range(workloads.cycle_length("moments-short"))),
     ("convolve-cauchy", [1]),
-], ids=["moments-short", "convolve-cauchy"])
+    ("certify-ov", [0, 5]),
+], ids=["moments-short", "convolve-cauchy", "certify-ov"])
 def test_traced_run_calls_every_required_layer(workload, indices):
     tracer = tracing.Tracer()
     tracer.install("ovfree")
