@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, convolution, linalg, measures, moments, ovdist, transforms
 from . import killer as killermod
-from .errors import MarginViolation, OvfreeError, UnsupportedPoint
+from .errors import OvfreeError, UnsupportedPoint
 
 _COMPLEX = {"type": "array", "minItems": 2, "maxItems": 2,
             "items": {"type": "number"}}
@@ -282,16 +282,10 @@ def _cmd_convolve(params, seed):
         w = convolution.eval_G_of_sum(task, b)
         budget = 0.0
         if mc is not None:
-            point = transforms.omega_membership(b, task.ball_x.n_pairs,
-                                                task.ball_x.base_dim)
-            if not model.norm_bound() < point.margin:
-                raise MarginViolation(
-                    "sum model is not norm-dominated at this argument; "
-                    "the sampled resolvent is uncontrolled")
-            est = ovdist.mc_estimate_G(model, b,
-                                       big_dim=mc.get("big_dim", 300),
-                                       trials=mc.get("trials", 12),
-                                       seed=seed + pid + 1)
+            est = convolution.sampled_G_of_sum(task, model, b,
+                                               big_dim=mc.get("big_dim", 300),
+                                               trials=mc.get("trials", 12),
+                                               seed=seed + pid + 1)
             budget = 3.0 * est.stderr
         row = [pid]
         for i in range(w.shape[0]):
@@ -332,14 +326,9 @@ def _cmd_moments(params, seed):
     laws = tuple(_law(law) for law in params["laws"])
     word = moments.ResolventWord(tuple(letters), laws, mode=params["mode"])
     value = moments.mixed_moment(word)
-    reference = None
-    if all(isinstance(law, measures.Cauchy) for law in laws):
-        reference = 1.0 + 0.0j
-        for z, idx in letters:
-            reference /= z - laws[idx].pole(1 if z.imag > 0 else -1)
-        reference = _pair(reference)
+    reference = moments.letterwise_cauchy_product(letters, laws)
     return "json", {"value": _pair(value), "mode": params["mode"],
-                    "reference": reference}
+                    "reference": None if reference is None else _pair(reference)}
 
 
 def _cmd_fbcs(params, seed):

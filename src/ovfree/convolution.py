@@ -22,12 +22,12 @@ from . import linalg, measures
 from . import rng as rngmod
 from .errors import (DimensionMismatch, LeftCertifiedBall, MarginViolation,
                      NoConvergence, UnsupportedPoint)
-from .ovdist import OVDistribution, ScalarEmbedded, mc_estimate_G
+from .ovdist import MCEstimate, OVDistribution, ScalarEmbedded, mc_estimate_G
 from .transforms import (CertifiedBall, bloch_certify, g_jacobian, invert_G,
                          omega_membership)
 
 __all__ = [
-    "image_overlap", "ConvolutionTask", "eval_G_of_sum",
+    "image_overlap", "ConvolutionTask", "eval_G_of_sum", "sampled_G_of_sum",
     "AdditivityReport", "verify_additivity",
     "MCAdditivityReport", "verify_additivity_mc",
     "TruncationRow", "truncation_error_bound", "truncation_sweep",
@@ -192,6 +192,23 @@ def verify_additivity(task: ConvolutionTask, sum_dist: OVDistribution,
     return AdditivityReport(tuple(deviations), _ADDITIVITY_TOL)
 
 
+def sampled_G_of_sum(task: ConvolutionTask, sum_model: OVDistribution, b,
+                     big_dim: int, trials: int, seed: int) -> MCEstimate:
+    """Monte Carlo estimate of G_{X+Y}(b) from a sampled model of X + Y.
+
+    The arguments have imaginary parts of both signs, where a sampled
+    resolvent is controlled only when the model's norm bound stays below
+    the block margin of ``b``; ``MarginViolation`` is raised otherwise.
+    """
+    bound = sum_model.norm_bound()
+    point = omega_membership(b, task.ball_x.n_pairs, task.ball_x.base_dim)
+    if not bound < point.margin:
+        raise MarginViolation(
+            f"model norm bound {bound:.3e} reaches the argument margin "
+            f"{point.margin:.3e}; the sampled resolvent is uncontrolled")
+    return mc_estimate_G(sum_model, b, big_dim=big_dim, trials=trials, seed=seed)
+
+
 @dataclass(frozen=True)
 class MCAdditivityReport:
     deviations: tuple       # entrywise worst |mean - w| per point
@@ -210,23 +227,14 @@ def verify_additivity_mc(task: ConvolutionTask, sum_model: OVDistribution,
     """Monte Carlo additivity check against a sampled model of X + Y.
 
     Accepts when every sampled subordination point is reproduced by the
-    model's estimated transform within ``_MC_SIGMA`` standard errors.  The
-    model must be norm-bounded below the argument's block margin: the
-    evaluation points have imaginary parts of both signs, where a sampled
-    resolvent is controlled only under that condition.
+    model's estimated transform (:func:`sampled_G_of_sum`) within
+    ``_MC_SIGMA`` standard errors.
     """
-    bound = sum_model.norm_bound()
     deviations, stderrs = [], []
     for i, w in enumerate(task.sample_targets(count, seed=seed)):
         b_sum = task.r_sum(w) + linalg.inverse(w)
-        point = omega_membership(b_sum, task.ball_x.n_pairs,
-                                 task.ball_x.base_dim)
-        if not bound < point.margin:
-            raise MarginViolation(
-                f"model norm bound {bound:.3e} reaches the argument margin "
-                f"{point.margin:.3e}; the sampled resolvent is uncontrolled")
-        est = mc_estimate_G(sum_model, b_sum, big_dim=big_dim, trials=trials,
-                            seed=seed + 7 * i + 1)
+        est = sampled_G_of_sum(task, sum_model, b_sum, big_dim=big_dim,
+                               trials=trials, seed=seed + 7 * i + 1)
         deviations.append(float(np.abs(est.mean - w).max()))
         stderrs.append(est.stderr)
     return MCAdditivityReport(tuple(deviations), tuple(stderrs), _MC_SIGMA)

@@ -63,7 +63,7 @@ class MarginViolation(OvfreeError):
 
 
 class FreeModeUnsupportedLaw(OvfreeError):
-    """Free-mode mixed moments need Cauchy-family laws (or an MC delegation)."""
+    """The four-mode agreement check (``moments.fbcs_check``) needs a Cauchy law."""
 
 
 class MixerSyntaxError(OvfreeError):

@@ -415,12 +415,6 @@ def g_scalar(measure: ScalarMeasure, z: complex) -> complex:
     return complex(expect(measure, lambda t: 1.0 / (z - t)))
 
 
-def f_scalar(measure: ScalarMeasure, z: complex) -> complex:
-    """Reciprocal Cauchy transform F = 1/g; maps each half-plane into itself."""
-    g = g_scalar(measure, z)
-    return 1.0 / g
-
-
 def g_derivative(measure: ScalarMeasure, z: complex, order: int) -> complex:
     """Derivative of the Cauchy transform: (-1)^m m! integral (z-t)^-(m+1) d(mu)."""
     if order < 0:
@@ -438,7 +432,7 @@ def g_derivative(measure: ScalarMeasure, z: complex, order: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# truncation and tightness
+# truncation
 
 
 @dataclass(frozen=True)
@@ -470,39 +464,6 @@ def truncate(measure: ScalarMeasure, cutoff: float) -> TruncationResult:
             kept.append((0.0, defect))
         return TruncationResult(Atomic(points=tuple(kept)), retained, cutoff)
     return TruncationResult(TruncatedMeasure(base=base, cutoff=cutoff), retained, cutoff)
-
-
-def tightness_cutoff(measures, epsilon: float, n_max: int = 2 ** 20):
-    """Smallest integer N <= n_max with mu([-N, N]) > 1 - epsilon for every law.
-
-    The inequality is strict.  Returns None when no such N exists within the
-    search bound (the family is not uniformly tight at this resolution).
-    """
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
-    measures = list(measures)
-    if not measures:
-        raise ValueError("empty family")
-
-    def ok(n):
-        return all(m.interval_mass(-n, n) > 1.0 - epsilon for m in measures)
-
-    if ok(1):
-        return 1
-    hi = 1
-    while hi < n_max and not ok(min(hi * 2, n_max)):
-        hi *= 2
-    hi = min(hi * 2, n_max)
-    if not ok(hi):
-        return None
-    lo = max(1, hi // 2)  # ok(lo) is False
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def quantile_nodes(measure: ScalarMeasure, count: int) -> np.ndarray:

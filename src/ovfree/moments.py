@@ -7,12 +7,17 @@ fractions; the independence mode only decides *how* letters regroup:
 * ``equal``     - all letters are the same operator, one big group;
 * ``classical`` - commuting variables, group letters by index;
 * ``boolean``   - split at every index change, multiply the runs;
-* ``free``      - center each run and use that alternating centered products
-                  vanish, merging adjacent same-index runs as they appear.
+* ``free``      - center each run (a° = a - phi(a)) and use that alternating
+                  centered products vanish, merging adjacent same-index runs
+                  L, R as they appear through
+                  L°R° = (LR)° - phi(L) R° - phi(R) L° + (phi(LR) - phi(L) phi(R)) 1,
+                  which holds for every law and for letters in either
+                  half-plane.
 
-For Cauchy-family laws all four answers collapse to the same product over
-letters, which is what makes the diagonally-dominant matrix expansion at the
-bottom of this module tractable at high order.
+For Cauchy-family laws with all letters in one half-plane the four answers
+collapse to the same product over letters, which is what makes the
+diagonally-dominant matrix expansion at the bottom of this module tractable
+at high order.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg, measures, rng as rngmod
+from . import linalg, measures
 from .errors import (DimensionMismatch, FreeModeUnsupportedLaw, NotDominant,
                      RealAxisPoint, UnsupportedPoint)
 
@@ -141,20 +146,10 @@ def _single_var_cached(law, zs) -> complex:
 
 
 @dataclass(frozen=True)
-class MCDelegation:
-    """Monte Carlo fallback parameters for free-mode words with general laws."""
-
-    matrix_dim: int = 400
-    trials: int = 16
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ResolventWord:
     letters: tuple  # ((z, var_index), ...)
     laws: tuple     # one law per variable, indexed from 0
     mode: str = "free"
-    mc: MCDelegation | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -202,17 +197,6 @@ def mixed_moment(word: ResolventWord) -> complex:
         for idx, zs in _runs(letters):
             out *= single_var_moment(laws[idx], zs)
         return out
-    # free mode
-    cauchy_ok = all(isinstance(laws[idx], measures.Cauchy) for _, idx in letters)
-    if not cauchy_ok:
-        if word.mc is None:
-            raise FreeModeUnsupportedLaw(
-                "free-mode words need Cauchy-family laws; pass an MCDelegation "
-                "to sample the moment from a random matrix model instead")
-        return _mc_free_moment(word)
-    if any(complex(z).imag <= 0 for z, _ in letters):
-        raise FreeModeUnsupportedLaw(
-            "free-mode reduction needs all arguments in the open upper half-plane")
     return _free_moment(_runs(letters), laws)
 
 
@@ -249,16 +233,20 @@ def _free_moment(blocks: list[tuple[int, tuple]], laws) -> complex:
             # adjacent indices all differ: alternating centered product vanishes
             memo[blocks_key] = 0.0 + 0.0j
             return memo[blocks_key]
+        # L°R° = (LR)° - phi(L) R° - phi(R) L° + (phi(LR) - phi(L) phi(R)) 1
         j = merge_at
         left, right = blocks_key[j], blocks_key[j + 1]
         merged = (left[0], _sorted_zs(left[1] + right[1]))
+        phi_l, phi_r = phi(*left), phi(*right)
         val = centered(blocks_key[:j] + (merged,) + blocks_key[j + 2:]) \
-            - phi(*left) * centered(blocks_key[:j] + blocks_key[j + 1:]) \
-            - phi(*right) * centered(blocks_key[:j + 1] + blocks_key[j + 2:])
+            - phi_l * centered(blocks_key[:j] + blocks_key[j + 1:]) \
+            - phi_r * centered(blocks_key[:j + 1] + blocks_key[j + 2:]) \
+            + (phi(*merged) - phi_l * phi_r) * centered(blocks_key[:j] + blocks_key[j + 2:])
         memo[blocks_key] = val
         return val
 
     key = tuple((idx, _sorted_zs(zs)) for idx, zs in blocks)
+    phis = [phi(*blk) for blk in key]
     total = 0.0 + 0.0j
     for mask in range(1 << len(key)):
         scalar = 1.0 + 0.0j
@@ -267,7 +255,7 @@ def _free_moment(blocks: list[tuple[int, tuple]], laws) -> complex:
             if mask >> b & 1:
                 kept.append(blk)
             else:
-                scalar *= phi(*blk)
+                scalar *= phis[b]
         total += scalar * centered(tuple(kept))
     _free_memo_entries += len(memo) - stored_before
     return total
@@ -277,25 +265,25 @@ def _sorted_zs(zs):
     return tuple(sorted(zs, key=lambda w: (w.real, w.imag)))
 
 
-def _mc_free_moment(word: ResolventWord) -> complex:
-    """Haar-rotated matrix model estimate of a free-mode word."""
-    mc = word.mc
-    n = mc.matrix_dim
-    used = sorted({idx for _, idx in word.letters})
-    acc = 0.0 + 0.0j
-    for trial in range(mc.trials):
-        gen = rngmod.stream(mc.seed, trial)
-        real = {idx: measures.realization(word.laws[idx], n, gen) for idx in used}
-        prod = np.eye(n, dtype=complex)
-        eye = np.eye(n)
-        for z, idx in word.letters:
-            prod = prod @ np.linalg.inv(complex(z) * eye - real[idx])
-        acc += np.trace(prod) / n
-    return acc / mc.trials
-
-
 # ---------------------------------------------------------------------------
 # four-mode agreement report
+
+
+def letterwise_cauchy_product(letters, laws) -> complex | None:
+    """prod_j 1/(z_j - pole_j) over the letters (z_j, var_j) of a Cauchy word.
+
+    Each pole is the law's pole in the letter's half-plane.  The product is
+    the word's moment in every mode only when all letters lie in one
+    half-plane, so ``None`` is returned otherwise, and for non-Cauchy laws.
+    """
+    if not all(isinstance(laws[idx], measures.Cauchy) for _, idx in letters):
+        return None
+    if not (all(z.imag > 0 for z, _ in letters) or all(z.imag < 0 for z, _ in letters)):
+        return None
+    product = 1.0 + 0.0j
+    for z, idx in letters:
+        product /= z - laws[idx].pole(1 if z.imag > 0 else -1)
+    return product
 
 
 @dataclass(frozen=True)
@@ -308,7 +296,11 @@ class AgreementReport:
 def fbcs_check(z_values: Sequence[complex], indices: Sequence[int],
                law: measures.Cauchy = measures.Cauchy(0.0, 1.0)) -> AgreementReport:
     """Free/boolean/classical/single-operator moments of one word, plus the
-    letterwise product reference they should all equal for Cauchy laws."""
+    letterwise product reference they should all equal for Cauchy laws.
+
+    The reference exists only when all letters lie in one half-plane;
+    ``UnsupportedPoint`` is raised for a word that spans both.
+    """
     if not isinstance(law, measures.Cauchy):
         raise FreeModeUnsupportedLaw("the agreement statement is about Cauchy laws")
     zs = [complex(z) for z in z_values]
@@ -319,9 +311,10 @@ def fbcs_check(z_values: Sequence[complex], indices: Sequence[int],
     laws = tuple(law for _ in range(n_vars))
     letters = tuple(zip(zs, idx))
     values = {mode: mixed_moment(ResolventWord(letters, laws, mode)) for mode in MODES}
-    reference = 1.0 + 0.0j
-    for z in zs:
-        reference *= 1.0 / (z - law.pole(1 if z.imag > 0 else -1))
+    reference = letterwise_cauchy_product(letters, laws)
+    if reference is None:
+        raise UnsupportedPoint("the letters span both half-planes, where the "
+                               "letterwise product is not the moment")
     dev = max(abs(v - reference) for v in values.values())
     return AgreementReport(values, reference, dev)
 

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from ovfree import measures
 from ovfree import rng as rngmod
 
 
@@ -66,6 +67,27 @@ def central_derivative(fn, z: complex, order: int = 1, h: float = 1e-4) -> compl
     if order == 2:
         return (fn(z + h) - 2 * fn(z) + fn(z - h)) / h ** 2
     raise ValueError("orders 1 and 2 only")
+
+
+def haar_free_moment(letters, laws, matrix_dim: int, trials: int, seed: int) -> complex:
+    """Matrix-model estimate of a free resolvent word's moment.
+
+    Each variable is an independent ``measures.realization``: a scaled GUE for
+    semicircles, a Haar-rotated quantile grid otherwise, so distinct variables
+    are asymptotically free.  The word's normalized trace is averaged over
+    ``trials`` draws; the free-mode recursion is never consulted.
+    """
+    used = sorted({idx for _, idx in letters})
+    eye = np.eye(matrix_dim)
+    acc = 0.0 + 0.0j
+    for trial in range(trials):
+        gen = rngmod.stream(seed, trial)
+        real = {idx: measures.realization(laws[idx], matrix_dim, gen) for idx in used}
+        prod = np.eye(matrix_dim, dtype=complex)
+        for z, idx in letters:
+            prod = prod @ np.linalg.inv(complex(z) * eye - real[idx])
+        acc += np.trace(prod) / matrix_dim
+    return acc / trials
 
 
 # ---------------------------------------------------------------------------

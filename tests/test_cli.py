@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -261,6 +262,22 @@ class TestNumericalFailures:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "NotDominant"
 
+    def test_convolve_mc_gate_names_bound_and_margin(self, tmp_path, monkeypatch,
+                                                     capsys):
+        def dirac(value):
+            return {"kind": "dirac",
+                    "operator": {"dim": 1, "re": [[value]], "im": [[0.0]]}}
+
+        config = {"command": "convolve", "seed": 0,
+                  "params": {"x": dirac(0.42), "y": dirac(0.43), "lam": 0.8,
+                             "n_pairs": 1, "points": 1, "mc": {}},
+                  "output": "o.csv"}
+        assert _run(tmp_path, monkeypatch, config) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "MarginViolation"
+        assert "model norm bound 8.500e-01" in err["message"]
+        assert re.search(r"argument margin \d\.\d{3}e[-+]\d\d", err["message"])
+
     def test_killer_target_off_the_half_plane(self, tmp_path, monkeypatch, capsys):
         config = {"command": "killer", "seed": 0,
                   "params": {"targets": [[1.0, -1.0]]}, "output": "o.json"}
@@ -280,6 +297,25 @@ class TestFlagForms:
         assert abs(value - reference) <= 1e-12
         assert value == pytest.approx(1j / 36)
         assert result["mode"] == "free"
+
+    def test_moments_word_across_half_planes_has_no_reference(self, capsys):
+        # the letterwise product 1/12 is the moment only within one half-plane
+        rc = cli.main(["moments", "--word", "[(2i,1),(-3i,1)]", "--mode", "equal"])
+        assert rc == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert complex(*result["value"]) == pytest.approx(7 / 60, abs=1e-14)
+        assert result["reference"] is None
+
+    def test_moments_free_mode_takes_any_law(self, capsys):
+        rc = cli.main(["moments", "--word", "[(2i,1),(3i,2),(2i,1)]",
+                       "--mode", "free", "--law", "semicircle"])
+        assert rc == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["reference"] is None
+        law = measures.Semicircle(1.0)
+        expected = (measures.g_derivative(law, 2j, 1) * -1.0
+                    * measures.g_scalar(law, 3j))
+        assert complex(*result["value"]) == pytest.approx(expected, rel=1e-12)
 
     def test_moments_accepts_json_law(self, capsys):
         rc = cli.main(["moments", "--word", "[(2i,1)]", "--mode", "classical",

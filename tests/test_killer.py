@@ -15,8 +15,8 @@ class TestBernoulliStage:
         stage = killer.BernoulliStage(shift=0.4, radius=1.3)
         law = measures.bernoulli(radius=1.3, center=0.4)
         for z in GRID:
-            assert stage.value(z) == pytest.approx(measures.f_scalar(law, z),
-                                                   abs=1e-12)
+            assert stage.value(z) == pytest.approx(
+                1 / measures.g_scalar(law, z), abs=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         stage = killer.BernoulliStage(shift=-0.2, radius=0.8)
@@ -63,7 +63,7 @@ class TestBuildKiller:
         for z in (3j, 0.7 + 2j, -1.5 + 0.6j):
             v = z
             for st in stages:
-                v = measures.f_scalar(
+                v = 1 / measures.g_scalar(
                     measures.bernoulli(radius=st.radius, center=st.shift), v)
             assert killer.eval_killer(stages, z) == pytest.approx(v, abs=1e-12)
 

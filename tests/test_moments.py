@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from conftest import haar_free_moment
 from ovfree import measures as ms
 from ovfree import moments as mo
-from ovfree.errors import FreeModeUnsupportedLaw, NotDominant, UnsupportedPoint
+from ovfree.errors import NotDominant, UnsupportedPoint
 
 
 def _random_points(gen, count, lo_imag=0.3):
@@ -135,15 +136,40 @@ def test_fbcs_general_cauchy_law():
     assert rep.max_deviation <= 1e-12
 
 
+def test_fbcs_lower_half_plane_word():
+    rep = mo.fbcs_check([-2j, -3j, -2j], [0, 1, 0])
+    assert rep.reference == pytest.approx(-1j / 36.0)
+    assert rep.max_deviation <= 1e-12
+
+
+def test_fbcs_mixed_half_plane_word_has_no_reference():
+    with pytest.raises(UnsupportedPoint):
+        mo.fbcs_check([2j, -3j, 2j], [0, 1, 0])
+
+
+@pytest.mark.xfail(strict=True, reason="partial fractions cancel catastrophically "
+                   "for points 1e-5 apart (ROADMAP item 1)")
+def test_single_var_close_points_match_letterwise_product():
+    law = ms.Cauchy(0.3, 0.7)
+    zs = [0.2 + 1j + 1e-5 * j for j in range(4)]
+    expected = np.prod([1.0 / (z - law.pole(1)) for z in zs])
+    assert abs(mo.single_var_moment(law, zs) - expected) <= 1e-9 * abs(expected)
+
+
 def test_free_mode_matches_matrix_model():
     # independent source of freeness: Haar-conjugated deterministic grids
-    c1, c2 = ms.Cauchy(0.3, 0.8), ms.Cauchy(-0.5, 1.2)
-    letters = ((2j, 0), (1 + 1.5j, 1), (2j, 0), (-0.4 + 1j, 1), (1 + 1.5j, 1))
-    exact = mo.mixed_moment(mo.ResolventWord(letters, (c1, c2), "free"))
-    sampled = mo._mc_free_moment(
-        mo.ResolventWord(letters, (c1, c2), "free",
-                         mo.MCDelegation(matrix_dim=500, trials=4, seed=3)))
-    assert abs(exact - sampled) <= 5e-3
+    words = [
+        # Cauchy laws, upper half-plane
+        (((2j, 0), (1 + 1.5j, 1), (2j, 0), (-0.4 + 1j, 1), (1 + 1.5j, 1)),
+         (ms.Cauchy(0.3, 0.8), ms.Cauchy(-0.5, 1.2))),
+        # semicircle and arcsine, letters in both half-planes
+        (((0.3 + 1.2j, 0), (-0.5 - 1.5j, 1), (-0.2 - 1j, 0), (0.4 + 1.3j, 1)),
+         (ms.Semicircle(1.0), ms.Arcsine(1.0))),
+    ]
+    for letters, laws in words:
+        exact = mo.mixed_moment(mo.ResolventWord(letters, laws, "free"))
+        sampled = haar_free_moment(letters, laws, matrix_dim=500, trials=4, seed=3)
+        assert abs(exact - sampled) <= 5e-3
 
 
 def test_equal_mode_requires_matching_laws():
@@ -153,20 +179,55 @@ def test_equal_mode_requires_matching_laws():
         mo.mixed_moment(word)
 
 
-def test_free_mode_law_and_halfplane_guards():
-    s = ms.Semicircle(1.0)
-    with pytest.raises(FreeModeUnsupportedLaw):
-        mo.mixed_moment(mo.ResolventWord(((2j, 0), (3j, 1)), (s, s), "free"))
-    c = ms.Cauchy(0, 1)
-    with pytest.raises(FreeModeUnsupportedLaw):
-        mo.mixed_moment(mo.ResolventWord(((-2j, 0), (3j, 1)), (c, c), "free"))
+FREE_LAWS = {"semicircle": ms.Semicircle(1.0), "arcsine": ms.Arcsine(1.5),
+             "bernoulli": ms.bernoulli(1.2, 0.1), "cauchy": ms.Cauchy(0.3, 0.7)}
+# x letters z1, z2 and y letters w1, w2
+HALF_PLANES = {
+    "upper": ((0.3 + 1.2j, -0.4 + 0.8j), (0.5 + 1.5j, -0.2 + 0.9j)),
+    "lower": ((0.3 - 1.2j, -0.4 - 0.8j), (0.5 - 1.5j, -0.2 - 0.9j)),
+    "mixed": ((0.3 + 1.2j, -0.4 - 0.8j), (0.5 - 1.5j, -0.2 + 0.9j)),
+}
+FREE_GRID = [pytest.param(FREE_LAWS[a], FREE_LAWS[b], HALF_PLANES[h], id=f"{a}-{b}-{h}")
+             for a in FREE_LAWS for b in FREE_LAWS for h in HALF_PLANES]
 
 
-def test_free_mode_mc_delegation_is_deterministic():
-    s = ms.Semicircle(1.0)
-    word = mo.ResolventWord(((2j, 0), (3j, 1), (2j, 0)), (s, s), "free",
-                            mo.MCDelegation(matrix_dim=200, trials=3, seed=11))
-    assert mo.mixed_moment(word) == mo.mixed_moment(word)
+@pytest.mark.parametrize("law_x, law_y, points", FREE_GRID)
+def test_free_mode_matches_the_definition_of_freeness(law_x, law_y, points):
+    # phi(a1 b a2) = phi(a1 a2) phi(b), and
+    # phi(a1 b1 a2 b2) = phi(a1 a2) phi(b1) phi(b2) + phi(a1) phi(a2) phi(b1 b2)
+    #                    - phi(a1) phi(a2) phi(b1) phi(b2)
+    (z1, z2), (w1, w2) = points
+    laws = (law_x, law_y)
+    a1, a2 = mo.single_var_moment(law_x, [z1]), mo.single_var_moment(law_x, [z2])
+    b1, b2 = mo.single_var_moment(law_y, [w1]), mo.single_var_moment(law_y, [w2])
+    a12 = mo.single_var_moment(law_x, [z1, z2])
+    b12 = mo.single_var_moment(law_y, [w1, w2])
+    xyx = mo.mixed_moment(mo.ResolventWord(((z1, 0), (w1, 1), (z2, 0)), laws, "free"))
+    assert abs(xyx - a12 * b1) <= 1e-12 * abs(a12 * b1)
+    xyxy = mo.mixed_moment(
+        mo.ResolventWord(((z1, 0), (w1, 1), (z2, 0), (w2, 1)), laws, "free"))
+    expected = a12 * b1 * b2 + a1 * a2 * b12 - a1 * a2 * b1 * b2
+    assert abs(xyxy - expected) <= 1e-12 * abs(expected)
+
+
+def test_free_mode_evaluates_each_block_once(monkeypatch):
+    # once the centered products are memoized, a word costs one phi per run
+    monkeypatch.setattr(mo, "_FREE_MEMO", {})
+    monkeypatch.setattr(mo, "_free_memo_entries", 0)
+    c1, c2 = ms.Cauchy(0.3, 0.8), ms.Cauchy(-0.5, 1.2)
+    word = mo.ResolventWord(((2j, 0), (1 + 1.5j, 1), (1.5j, 0), (0.5 + 2j, 1),
+                             (-1 + 1j, 0), (-0.3 + 1j, 1)), (c1, c2), "free")
+    first = mo.mixed_moment(word)
+    single_var = mo.single_var_moment
+    calls = []
+
+    def counting(law, zs):
+        calls.append(tuple(zs))
+        return single_var(law, zs)
+
+    monkeypatch.setattr(mo, "single_var_moment", counting)
+    assert mo.mixed_moment(word) == first
+    assert len(calls) == 6
 
 
 def test_free_memo_is_bounded_by_entries(monkeypatch):
