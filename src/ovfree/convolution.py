@@ -128,13 +128,14 @@ def eval_G_of_sum(task: ConvolutionTask, b) -> np.ndarray:
         raise DimensionMismatch("argument does not match the certified charts")
     dim = b.shape[0]
     w = task.overlap_center.copy()
-    scale = max(1.0, float(np.linalg.norm(b)))
+    tol = _NEWTON_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(b)))
     for _ in range(_NEWTON_MAX_STEPS):
         winv = linalg.inverse(w)
         bx = invert_G(task.x, task.ball_x, w)
         by = invert_G(task.y, task.ball_y, w)
         residual = bx + by - winv - b
-        if np.linalg.norm(residual) <= _NEWTON_RESIDUAL_TOL * scale:
+        last = float(np.linalg.norm(residual))
+        if last <= tol:
             return w
         # d(b_x)/dw is the inverse Jacobian of G_X at b_x; the explicit
         # -w^{-1} h w^{-1} from the w^{-1} term closes the derivative.
@@ -154,7 +155,9 @@ def eval_G_of_sum(task: ConvolutionTask, b) -> np.ndarray:
             raise LeftCertifiedBall(
                 "Newton iterate left the shared certified image ball")
         w = candidate
-    raise NoConvergence("subordination Newton did not reach the tolerance")
+    raise NoConvergence("subordination Newton did not reach the tolerance: "
+                        f"{_NEWTON_MAX_STEPS} steps, last residual {last:.1e} "
+                        f"against {tol:.1e}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Mixed moments of resolvent words under four independence disciplines.
 
 A word is a product (z_1 - X_{i_1})^{-1} ... (z_k - X_{i_k})^{-1} evaluated in
-the trace state.  Everything reduces to one-variable moments through partial
-fractions; the independence mode only decides *how* letters regroup:
+the trace state.  Everything reduces to one-variable moments, divided
+differences of the Cauchy transform that :func:`single_var_moment` evaluates
+with no cancellation: a repeated point through a derivative of the Cauchy
+transform, a Cauchy law with all points in one half-plane through the
+letterwise product, and any other product through one expectation.  The
+independence mode only decides *how* letters regroup:
 
 * ``equal``     - all letters are the same operator, one big group;
 * ``classical`` - commuting variables, group letters by index;
@@ -35,92 +39,21 @@ from .errors import (DimensionMismatch, FreeModeUnsupportedLaw, NotDominant,
 
 MODES = ("equal", "classical", "free", "boolean")
 
-_POLE_CLUSTER_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
-# partial fractions
-
-
-@dataclass(frozen=True)
-class PartialFraction:
-    """Expansion of prod_j (z_j - t)^{-1} into sum_p sum_q c_{p,q} (pole_p - t)^{-q}.
-
-    ``terms`` maps each distinct pole to the coefficient tuple
-    (c_{p,1}, ..., c_{p,m_p}).
-    """
-
-    poles: tuple
-    coefficients: tuple  # tuple of tuples, aligned with poles
-
-    def resum(self, t: complex) -> complex:
-        total = 0.0 + 0.0j
-        for pole, coeffs in zip(self.poles, self.coefficients):
-            base = 1.0 / (pole - t)
-            power = base
-            for c in coeffs:
-                total += c * power
-                power *= base
-        return total
-
-
-def partial_fractions(z_values: Sequence[complex]) -> PartialFraction:
-    """Expand the resolvent product; repeated points produce derivative terms."""
-    zs = [complex(z) for z in z_values]
-    if not zs:
-        raise ValueError("empty resolvent product")
-    scale = max(abs(z) for z in zs) or 1.0
-    clusters: list[list[complex]] = []
-    for z in zs:
-        for cl in clusters:
-            if abs(z - cl[0]) <= _POLE_CLUSTER_TOL * scale:
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    poles, coeff_rows = [], []
-    for cl in clusters:
-        pole = cl[0]
-        mult = len(cl)
-        others = [z for other in clusters if other is not cl for z in other]
-        derivs = _cofactor_derivatives(others, pole, mult - 1)
-        # coefficient of (pole - t)^{-q}: (-1)^(m-q) g^{(m-q)}(pole) / (m-q)!
-        coeffs = tuple(
-            (-1.0) ** (mult - q) * derivs[mult - q] / math.factorial(mult - q)
-            for q in range(1, mult + 1)
-        )
-        poles.append(pole)
-        coeff_rows.append(coeffs)
-    return PartialFraction(tuple(poles), tuple(coeff_rows))
-
-
-def _cofactor_derivatives(others: list[complex], at: complex, up_to: int) -> list[complex]:
-    """Derivatives 0..up_to of prod (z_l - t)^{-1} over the other poles, at t = at.
-
-    Uses g' = g * S_1 with power sums S_r = sum (z_l - t)^{-r}, whose own
-    derivatives are S_1^{(r)} = r! S_{r+1}.
-    """
-    g0 = 1.0 + 0.0j
-    for z in others:
-        g0 *= 1.0 / (z - at)
-    if up_to == 0:
-        return [g0]
-    power_sums = [sum((z - at) ** (-(r + 1)) for z in others) for r in range(up_to + 1)]
-    derivs = [g0]
-    for s in range(up_to):
-        nxt = sum(
-            math.comb(s, j) * derivs[j] * math.factorial(s - j) * power_sums[s - j]
-            for j in range(s + 1)
-        )
-        derivs.append(nxt)
-    return derivs
+# one-variable moments
 
 
 def single_var_moment(law: measures.ScalarMeasure, z_values: Sequence[complex]) -> complex:
-    """Trace of a one-variable resolvent product, via partial fractions.
+    """Trace of a one-variable resolvent product prod_j (z_j - X)^{-1}.
 
-    Repeated arguments are routed through derivatives of the Cauchy transform:
-    the moment of (z - X)^{-q} is (-1)^(q-1) g^{(q-1)}(z) / (q-1)!.
+    * one distinct point z repeated q times: (-1)^(q-1) g^{(q-1)}(z) / (q-1)!;
+    * a Cauchy law with every point in one half-plane: the letterwise
+      product of :func:`letterwise_cauchy_product`, exact for every spacing;
+    * otherwise one expectation of the product over the law.
+
+    None of these subtracts nearly equal terms, so close points lose no
+    accuracy.
     """
     zs = tuple(sorted((complex(z) for z in z_values), key=lambda w: (w.real, w.imag)))
     return _single_var_cached(law, zs)
@@ -128,17 +61,21 @@ def single_var_moment(law: measures.ScalarMeasure, z_values: Sequence[complex]) 
 
 @lru_cache(maxsize=1 << 16)
 def _single_var_cached(law, zs) -> complex:
+    if not zs:
+        raise ValueError("empty resolvent product")
     for z in zs:
         if z.imag == 0.0:
             raise RealAxisPoint("resolvent argument on the real axis")
-    pf = partial_fractions(zs)
-    total = 0.0 + 0.0j
-    for pole, coeffs in zip(pf.poles, pf.coefficients):
-        for q, c in enumerate(coeffs, start=1):
-            kernel = (-1.0) ** (q - 1) / math.factorial(q - 1) \
-                * measures.g_derivative(law, pole, q - 1)
-            total += c * kernel
-    return total
+    if len(set(zs)) == 1:
+        q = len(zs)
+        return (-1.0) ** (q - 1) / math.factorial(q - 1) \
+            * measures.g_derivative(law, zs[0], q - 1)
+    product = letterwise_cauchy_product(tuple((z, 0) for z in zs), (law,))
+    if product is not None:
+        return product
+    points = np.array(zs)
+    return complex(measures.expect(
+        law, lambda ts: np.prod(1.0 / (points[None, :] - ts[:, None]), axis=1)))
 
 
 # ---------------------------------------------------------------------------

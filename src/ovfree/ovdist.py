@@ -17,7 +17,7 @@ so a derivative at b needs edge(b) <= ``linalg.MAX_DIM // 2``.
 Variants that admit a faithful random-matrix realization also expose
 ``sample``; :func:`mc_estimate_G` turns samples into a G estimate with a
 standard error, which is the fallback when no deterministic evaluation
-exists (polynomial mixers, non-Cauchy free families).
+exists (polynomial mixers).
 """
 
 from __future__ import annotations

@@ -275,11 +275,12 @@ def invert_G(dist: OVDistribution, ball: CertifiedBall, target) -> np.ndarray:
             f"the certified radius {ball.image_radius:.3e}")
     dim = target.shape[0]
     w = ball.center.copy()
-    scale = max(1.0, float(np.linalg.norm(target)))
+    tol = _NEWTON_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(target)))
     for _ in range(_NEWTON_MAX_STEPS):
         value = k_map(dist, w)
         residual = value - target
-        if np.linalg.norm(residual) <= _NEWTON_RESIDUAL_TOL * scale:
+        last = float(np.linalg.norm(residual))
+        if last <= tol:
             return linalg.inverse(w)
         jac = k_jacobian(dist, w)
         step = np.linalg.solve(jac, -residual.reshape(-1)).reshape(dim, dim)
@@ -287,7 +288,9 @@ def invert_G(dist: OVDistribution, ball: CertifiedBall, target) -> np.ndarray:
         if np.linalg.norm(w - ball.center) > 1.5 * ball.domain_radius:
             raise LeftCertifiedBall(
                 "Newton iterate escaped the certified domain ball")
-    raise NoConvergence("chart Newton did not reach the residual tolerance")
+    raise NoConvergence("chart Newton did not reach the residual tolerance: "
+                        f"{_NEWTON_MAX_STEPS} steps, last residual {last:.1e} "
+                        f"against {tol:.1e}")
 
 
 def r_transform(dist: OVDistribution, ball: CertifiedBall, w) -> np.ndarray:

@@ -166,6 +166,15 @@ class TestEvalGOfSum:
         with pytest.raises((LeftCertifiedBall, NoConvergence)):
             cv.eval_G_of_sum(cauchy_task, b_far)
 
+    def test_newton_failure_names_its_state(self, cauchy_task, monkeypatch):
+        w_star = cauchy_task.sample_targets(1, seed=21)[0]
+        b = cauchy_task.r_sum(w_star) + linalg.inverse(w_star)
+        monkeypatch.setattr(cv, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(NoConvergence, match=r"^subordination Newton did not "
+                           r"reach the tolerance: 1 steps, last residual "
+                           r"\d\.\de[-+]\d+ against \d\.\de[-+]\d+$"):
+            cv.eval_G_of_sum(cauchy_task, b)
+
 
 class TestVerifyAdditivity:
     def test_cauchy_scales_add(self, cauchy_task):

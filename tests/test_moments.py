@@ -7,6 +7,7 @@ import scipy.integrate
 from conftest import haar_free_moment
 from ovfree import measures as ms
 from ovfree import moments as mo
+from ovfree import ovdist as ov
 from ovfree.errors import NotDominant, UnsupportedPoint
 
 
@@ -15,47 +16,17 @@ def _random_points(gen, count, lo_imag=0.3):
     return [complex(x, abs(y) + lo_imag) for x, y in pts]
 
 
-# ---------------------------------------------------------------------------
-# partial fractions
-
-
-def test_partial_fractions_three_simple_poles():
-    pf = mo.partial_fractions([1j, 2j, 3j])
-    assert pf.poles == (1j, 2j, 3j)
-    lam = [c[0] for c in pf.coefficients]
-    assert lam == pytest.approx([-0.5, 1.0, -0.5])
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_partial_fractions_resum_invariant(seed):
-    gen = np.random.default_rng(seed)
-    for _ in range(5):
-        k = int(gen.integers(1, 7))
-        zs = _random_points(gen, k)
-        if k > 2 and gen.random() < 0.5:
-            zs[-1] = zs[0]  # force a repeated pole
-        pf = mo.partial_fractions(zs)
-        for t in gen.normal(scale=3.0, size=20):
-            direct = np.prod([1.0 / (z - t) for z in zs])
-            assert abs(pf.resum(t) - direct) <= 1e-10 * max(1.0, abs(direct))
-
-
-def test_partial_fractions_repeated_pole_coefficients():
-    # (2i-t)^-2 (3i-t)^-1 = -1/(3i-t) + 1/(2i-t) - i/(2i-t)^2
-    pf = mo.partial_fractions([2j, 3j, 2j])
-    by_pole = dict(zip(pf.poles, pf.coefficients))
-    assert by_pole[3j][0] == pytest.approx(-1.0)
-    assert by_pole[2j][0] == pytest.approx(1.0)
-    assert by_pole[2j][1] == pytest.approx(-1j)
-
-
-def test_partial_fractions_rejects_empty():
-    with pytest.raises(ValueError):
-        mo.partial_fractions([])
+def _close_points(delta):
+    return [0.2 + 1j + delta * j for j in range(4)]
 
 
 # ---------------------------------------------------------------------------
 # one-variable moments
+
+
+def test_single_var_rejects_empty_product():
+    with pytest.raises(ValueError):
+        mo.single_var_moment(ms.Cauchy(0.0, 1.0), [])
 
 
 def test_single_var_cauchy_pair():
@@ -85,8 +56,10 @@ def test_single_var_repeated_point_is_derivative(k):
 ])
 def test_single_var_against_direct_quadrature(law):
     gen = np.random.default_rng(5)
-    for _ in range(4):
-        zs = _random_points(gen, int(gen.integers(2, 5)))
+    point_sets = [_random_points(gen, int(gen.integers(2, 5))) for _ in range(4)]
+    point_sets += [_close_points(1e-5), _close_points(1e-9),
+                   [0.3 + 1.2j, -0.5 - 1.5j, -0.2 - 1j, 0.4 + 1.3j]]
+    for zs in point_sets:
 
         def product(t):
             return np.prod([1.0 / (z - t) for z in zs])
@@ -147,13 +120,26 @@ def test_fbcs_mixed_half_plane_word_has_no_reference():
         mo.fbcs_check([2j, -3j, 2j], [0, 1, 0])
 
 
-@pytest.mark.xfail(strict=True, reason="partial fractions cancel catastrophically "
-                   "for points 1e-5 apart (ROADMAP item 1)")
-def test_single_var_close_points_match_letterwise_product():
-    law = ms.Cauchy(0.3, 0.7)
-    zs = [0.2 + 1j + 1e-5 * j for j in range(4)]
-    expected = np.prod([1.0 / (z - law.pole(1)) for z in zs])
-    assert abs(mo.single_var_moment(law, zs) - expected) <= 1e-9 * abs(expected)
+def _letterwise_reference(law, zs):
+    """Exact product for Cauchy, exact atom sum for an atomic law, and the
+    corner of G at the Jordan-like matrix diag(z) + superdiagonal ones
+    (Opitz 1964) otherwise: (-1)^(k-1) G(J)[0, -1] is the word's moment."""
+    if isinstance(law, ms.Cauchy):
+        return np.prod([1.0 / (z - law.pole(1)) for z in zs])
+    if isinstance(law, ms.Atomic):
+        return sum(w * np.prod([1.0 / (z - p) for z in zs]) for p, w in law.atoms())
+    jordan = np.diag(zs) + np.eye(len(zs), k=1)
+    return (-1.0) ** (len(zs) - 1) * ov.ScalarEmbedded(law).eval_G(jordan)[0, -1]
+
+
+@pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("law", [ms.Cauchy(0.3, 0.7), ms.Semicircle(1.0),
+                                 ms.Arcsine(2.0), ms.bernoulli(1.5)],
+                         ids=["cauchy", "semicircle", "arcsine", "bernoulli"])
+def test_single_var_close_points_match_letterwise_product(law, delta):
+    zs = _close_points(delta)
+    expected = _letterwise_reference(law, zs)
+    assert abs(mo.single_var_moment(law, zs) - expected) <= 1e-13 * abs(expected)
 
 
 def test_free_mode_matches_matrix_model():

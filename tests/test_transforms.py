@@ -4,7 +4,7 @@ import pytest
 from conftest import random_hermitian
 from ovfree import linalg, measures as ms, ovdist as ov, transforms as tr
 from ovfree.errors import (BNotDominant, DimensionMismatch, LeftCertifiedBall,
-                           MarginViolation, PerturbationTooLarge,
+                           MarginViolation, NoConvergence, PerturbationTooLarge,
                            UnsupportedPoint, WrongPattern)
 
 
@@ -177,6 +177,16 @@ class TestInvertG:
         target = ball.image_center + 0.9 * ball.image_radius * np.eye(2) / np.sqrt(2)
         with pytest.raises(LeftCertifiedBall):
             tr.invert_G(dist, doctored, target)
+
+    def test_newton_failure_names_its_state(self, monkeypatch):
+        dist = ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0))
+        ball = tr.bloch_certify(dist, 0.4, 1)
+        target = ball.image_center + 0.5 * ball.image_radius * np.eye(2) / np.sqrt(2)
+        monkeypatch.setattr(tr, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(NoConvergence, match=r"^chart Newton did not reach the "
+                           r"residual tolerance: 1 steps, last residual "
+                           r"\d\.\de[-+]\d+ against 1\.\de-11$"):
+            tr.invert_G(dist, ball, target)
 
 
 class TestRTransform:
