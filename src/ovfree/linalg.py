@@ -19,7 +19,8 @@ MAX_DIM = 64
 # trustworthy digits for the tolerances used downstream.
 CONDITION_CAP = 1e14
 
-# Post-condition on every inverse: ||x @ inv - I|| <= RESIDUAL_TOL * ||x|| * ||inv||.
+# Post-condition on every inverse: ||x @ inv - I||_F <= RESIDUAL_TOL * cond_2(x),
+# with cond_2(x) = ||x||_2 ||x^{-1}||_2 read off the singular values.
 RESIDUAL_TOL = 1e-10
 
 
@@ -52,9 +53,13 @@ def operator_norm(x) -> float:
 def inverse(x) -> np.ndarray:
     """Inverse with an explicit trust gate.
 
-    Raises :class:`SingularMatrix` when the 2-norm condition number exceeds
-    ``CONDITION_CAP`` (exactly singular matrices included), and double-checks
-    the residual ``||x @ inv(x) - I||`` against ``RESIDUAL_TOL``-scaled norms.
+    One SVD serves both checks.  Raises :class:`SingularMatrix` when the
+    2-norm condition number sv[0] / sv[-1] exceeds ``CONDITION_CAP`` (exactly
+    singular matrices included), or when the Frobenius residual
+    ``||x @ inv(x) - I||_F`` exceeds ``RESIDUAL_TOL`` times that condition
+    number.  The Frobenius norm bounds the 2-norm from above, and
+    sv[0] / sv[-1] = ||x||_2 ||x^{-1}||_2, so this gate is no looser than a
+    2-norm residual against ``RESIDUAL_TOL * ||x||_2 * ||inv||_2``.
     """
     a = as_matrix(x)
     sv = np.linalg.svd(a, compute_uv=False)
@@ -63,8 +68,8 @@ def inverse(x) -> np.ndarray:
             f"condition number {np.inf if sv[-1] == 0 else sv[0] / sv[-1]:.3e} beyond cap"
         )
     inv = np.linalg.inv(a)
-    resid = np.linalg.norm(a @ inv - np.eye(a.shape[0]), 2)
-    if resid > RESIDUAL_TOL * max(1e-300, sv[0]) * np.linalg.norm(inv, 2):
+    resid = np.linalg.norm(a @ inv - np.eye(a.shape[0]))
+    if resid > RESIDUAL_TOL * sv[0] / sv[-1]:
         raise SingularMatrix(f"inverse residual {resid:.3e} failed the quality gate")
     return inv
 

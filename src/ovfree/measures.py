@@ -30,6 +30,17 @@ _WEIGHT_TOL = 1e-12
 
 _GL_LO = np.polynomial.legendre.leggauss(10)
 _GL_HI = np.polynomial.legendre.leggauss(21)
+_GL_LO_ROW = _GL_LO[1].reshape(1, -1)
+_GL_HI_ROW = _GL_HI[1].reshape(1, -1)
+
+
+def _weigh(row: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over its first axis, weighted by the (1, k) ``row``.
+
+    The same product ``np.tensordot(row[0], values, axes=(0, 0))`` forms, so
+    the same bits, without its per-call axis bookkeeping.
+    """
+    return np.dot(row, values.reshape(len(values), -1)).reshape(values.shape[1:])
 
 
 def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -51,8 +62,8 @@ def adaptive_integral(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: flo
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         v_lo = fn(mid + half * _GL_LO[0])
         v_hi = fn(mid + half * _GL_HI[0])
-        low = half * np.tensordot(_GL_LO[1], v_lo, axes=(0, 0))
-        high = half * np.tensordot(_GL_HI[1], v_hi, axes=(0, 0))
+        low = half * _weigh(_GL_LO_ROW, v_lo)
+        high = half * _weigh(_GL_HI_ROW, v_hi)
         return high, float(np.max(np.abs(high - low)))
 
     value = None

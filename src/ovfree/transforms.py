@@ -21,7 +21,7 @@ scale.  All radii are in the Frobenius norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,7 +160,9 @@ class CertifiedBall:
 
     Within Frobenius distance ``domain_radius`` of ``center`` the map K is
     injective, and every target within ``image_radius`` of ``image_center``
-    is attained from that domain ball.
+    is attained from that domain ball.  ``jacobian`` is K's Jacobian at
+    ``center``, kept so that :func:`invert_G` starts from it; it is not
+    part of the JSON form.
     """
 
     lam: float
@@ -173,6 +175,7 @@ class CertifiedBall:
     variation: float            # M, safety-margined sup of ||K - K(w0)|| at radius R
     domain_radius: float        # r = R^2 a / (4 M)
     image_radius: float         # P = R^2 a^2 / (8 M)
+    jacobian: np.ndarray = field(repr=False)  # k_jacobian(dist, w0)
 
     def to_json(self) -> dict:
         return {
@@ -185,19 +188,6 @@ class CertifiedBall:
             "domain_radius": self.domain_radius,
             "image_radius": self.image_radius,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CertifiedBall":
-        return cls(
-            lam=data["lam"], n_pairs=data["n_pairs"], base_dim=data["base_dim"],
-            center=linalg.matrix_from_json(data["center"]),
-            image_center=linalg.matrix_from_json(data["image_center"]),
-            chart_radius=data["chart_radius"],
-            jacobian_floor=data["jacobian_floor"],
-            variation=data["variation"],
-            domain_radius=data["domain_radius"],
-            image_radius=data["image_radius"],
-        )
 
 
 def bloch_certify(dist: OVDistribution, lam: float, n_pairs: int,
@@ -250,6 +240,7 @@ def bloch_certify(dist: OVDistribution, lam: float, n_pairs: int,
         chart_radius=radius, jacobian_floor=a, variation=m,
         domain_radius=radius ** 2 * a / (4.0 * m),
         image_radius=radius ** 2 * a ** 2 / (8.0 * m),
+        jacobian=jac,
     )
 
 
@@ -260,7 +251,8 @@ def bloch_certify(dist: OVDistribution, lam: float, n_pairs: int,
 def invert_G(dist: OVDistribution, ball: CertifiedBall, target) -> np.ndarray:
     """Solve G(b) = target for the unique b with b^{-1} in the certified ball.
 
-    Newton iteration on the chart map, started at the ball center.  The
+    Newton iteration on the chart map, started at the ball center from the
+    value and Jacobian that :func:`bloch_certify` measured there.  The
     target must lie in the certified image ball; the returned argument
     meets ``_NEWTON_RESIDUAL_TOL`` in Frobenius norm within
     ``_NEWTON_MAX_STEPS`` steps, else :class:`NoConvergence` is raised.
@@ -275,19 +267,21 @@ def invert_G(dist: OVDistribution, ball: CertifiedBall, target) -> np.ndarray:
             f"the certified radius {ball.image_radius:.3e}")
     dim = target.shape[0]
     w = ball.center.copy()
+    value, jac = ball.image_center, ball.jacobian
     tol = _NEWTON_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(target)))
-    for _ in range(_NEWTON_MAX_STEPS):
-        value = k_map(dist, w)
+    for steps in range(_NEWTON_MAX_STEPS):
         residual = value - target
         last = float(np.linalg.norm(residual))
         if last <= tol:
             return linalg.inverse(w)
-        jac = k_jacobian(dist, w)
+        if steps:
+            jac = k_jacobian(dist, w)
         step = np.linalg.solve(jac, -residual.reshape(-1)).reshape(dim, dim)
         w = w + step
         if np.linalg.norm(w - ball.center) > 1.5 * ball.domain_radius:
             raise LeftCertifiedBall(
                 "Newton iterate escaped the certified domain ball")
+        value = k_map(dist, w)
     raise NoConvergence("chart Newton did not reach the residual tolerance: "
                         f"{_NEWTON_MAX_STEPS} steps, last residual {last:.1e} "
                         f"against {tol:.1e}")

@@ -20,7 +20,8 @@ def _ball(center_val, image_center, radius, dim=2):
         center=center_val * np.eye(dim, dtype=complex),
         image_center=np.asarray(image_center, dtype=complex),
         chart_radius=0.2, jacobian_floor=0.9, variation=0.3,
-        domain_radius=0.05, image_radius=radius)
+        domain_radius=0.05, image_radius=radius,
+        jacobian=np.eye(dim * dim, dtype=complex))
 
 
 @pytest.fixture(scope="module")

@@ -33,6 +33,16 @@ def test_inverse_singular_rejected():
         la.inverse(np.diag([1.0, 1e-15]))  # condition 1e15 beyond the cap
 
 
+def test_inverse_residual_gate(monkeypatch):
+    # a well-conditioned matrix whose computed inverse comes back perturbed
+    # must fail the residual check, not pass through
+    exact = np.linalg.inv
+    monkeypatch.setattr(la.np.linalg, "inv", lambda a: exact(a) + 1e-6)
+    x = np.array([[2.0, 0.5j], [0.3, 1.0 + 1j]])
+    with pytest.raises(SingularMatrix, match="failed the quality gate"):
+        la.inverse(x)
+
+
 def test_imag_part_frozen():
     x = np.array([[1j, 1.0], [0.0, 1j]])
     expected = np.array([[1.0, -0.5j], [0.5j, 1.0]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,13 +103,25 @@ class TestBlochCertify:
         np.testing.assert_allclose(np.diagonal(ball.image_center),
                                    [-0.75j, 0.75j], atol=1e-14)
 
-    def test_json_round_trip(self):
+    def test_json_keys(self):
         ball = tr.bloch_certify(ov.ScalarEmbedded(ms.Cauchy(0, 1)), 0.25, 1)
-        clone = tr.CertifiedBall.from_json(ball.to_json())
-        np.testing.assert_array_equal(clone.center, ball.center)
-        np.testing.assert_array_equal(clone.image_center, ball.image_center)
-        assert clone.domain_radius == ball.domain_radius
-        assert clone.image_radius == ball.image_radius
+        assert list(ball.to_json()) == [
+            "lam", "n_pairs", "base_dim", "center", "image_center",
+            "chart_radius", "jacobian_floor", "variation", "domain_radius",
+            "image_radius"]
+
+    @pytest.mark.parametrize("dist", [
+        # Omega points lie in neither half-plane, so the Cauchy law's G
+        # runs through quadrature there, not through its closed form
+        ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0)),
+        ov.DiracB(np.array([[0.2]])),
+        ov.OVSemicircular((0.3,)),
+    ], ids=["cauchy", "dirac", "ov-semicircular"])
+    def test_ball_carries_the_center_jacobian(self, dist):
+        # invert_G starts from this Jacobian instead of recomputing it, so
+        # the two must agree bit for bit
+        ball = tr.bloch_certify(dist, 0.4, 1)
+        assert np.array_equal(ball.jacobian, tr.k_jacobian(dist, ball.center))
 
     @pytest.mark.parametrize("dist", [
         ov.OVSemicircular((0.2,)),
@@ -164,16 +178,46 @@ class TestInvertG:
         b = tr.invert_G(dist, ball, ball.image_center)
         np.testing.assert_allclose(b, tr.base_point(0.4, 1, 1), atol=1e-9)
 
+    def test_center_target_evaluates_nothing(self, monkeypatch):
+        dist = ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0))
+        ball = tr.bloch_certify(dist, 0.4, 1)
+        calls = []
+        inner = ov.ScalarEmbedded.eval_G
+
+        def counted(self, b):
+            calls.append(b)
+            return inner(self, b)
+
+        monkeypatch.setattr(ov.ScalarEmbedded, "eval_G", counted)
+        b = tr.invert_G(dist, ball, ball.image_center)
+        assert calls == []
+        np.testing.assert_array_equal(b, linalg.inverse(ball.center))
+
+    def test_newton_never_revisits_the_center(self, monkeypatch):
+        dist = ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0))
+        ball = tr.bloch_certify(dist, 0.4, 1)
+        visited = {"k_map": [], "k_jacobian": []}
+        for name in visited:
+            inner = getattr(tr, name)
+
+            def counted(dist, w, inner=inner, seen=visited[name]):
+                seen.append(np.array(w))
+                return inner(dist, w)
+
+            monkeypatch.setattr(tr, name, counted)
+        target = ball.image_center + 0.5 * ball.image_radius * np.eye(2) / np.sqrt(2)
+        tr.invert_G(dist, ball, target)
+        assert visited["k_map"] and visited["k_jacobian"]
+        # one value per chart step, one Jacobian per step after the first
+        assert len(visited["k_jacobian"]) == len(visited["k_map"]) - 1
+        for w in visited["k_map"] + visited["k_jacobian"]:
+            assert not np.array_equal(w, ball.center)
+
     def test_escape_guard(self):
         # a ball doctored to claim far more coverage than the map delivers
         dist = ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0))
         ball = tr.bloch_certify(dist, 0.4, 1)
-        doctored = tr.CertifiedBall(
-            lam=ball.lam, n_pairs=ball.n_pairs, base_dim=ball.base_dim,
-            center=ball.center, image_center=ball.image_center,
-            chart_radius=ball.chart_radius, jacobian_floor=ball.jacobian_floor,
-            variation=ball.variation, domain_radius=1e-9 * ball.domain_radius,
-            image_radius=ball.image_radius)
+        doctored = dataclasses.replace(ball, domain_radius=1e-9 * ball.domain_radius)
         target = ball.image_center + 0.9 * ball.image_radius * np.eye(2) / np.sqrt(2)
         with pytest.raises(LeftCertifiedBall):
             tr.invert_G(dist, doctored, target)

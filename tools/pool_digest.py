@@ -1,7 +1,8 @@
 """Digest of every benchmark pool config's output, for byte-identity checks.
 
 Runs each ``workloads.make_item(W, seed, i)`` with ``i < POOL_SIZE[W]``,
-for every workload and seeds 1 and 5, through ``ovfree.cli.run_config``,
+for every workload (or only the workloads named on the command line) and
+seeds 1 and 5, through ``ovfree.cli.run_config``,
 importing both from this checkout (``benchmark/`` and ``src/``), and
 prints one line per config,
 
@@ -13,6 +14,11 @@ environment on both sides, e.g.
 
     OVFREE_THREADS=$(nproc) OPENBLAS_NUM_THREADS=1 \\
         python3 tools/pool_digest.py > digest.txt
+
+or, to check only some workloads, name them:
+
+    OVFREE_THREADS=$(nproc) OPENBLAS_NUM_THREADS=1 \\
+        python3 tools/pool_digest.py convolve-cauchy certify-ov > digest.txt
 """
 
 import hashlib
@@ -43,9 +49,14 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def main() -> int:
+def main(names) -> int:
+    unknown = sorted(set(names) - set(workloads.WORKLOADS))
+    if unknown:
+        print(f"unknown workload(s) {', '.join(unknown)}; "
+              f"choose from {', '.join(workloads.WORKLOADS)}", file=sys.stderr)
+        return 2
     total = hashlib.sha256()
-    for workload in workloads.WORKLOADS:
+    for workload in [w for w in workloads.WORKLOADS if not names or w in names]:
         for seed in SEEDS:
             for i in range(workloads.POOL_SIZE[workload]):
                 line = (f"{workload} {seed}:{i} "
@@ -57,4 +68,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
