@@ -4,8 +4,10 @@ Every experiment keys off a config object ``{command, seed, params,
 output}``; the config is schema-validated, dispatched, and the artifact is
 written with an embedded meta header carrying the sha256 of the canonical
 config and the tool version, so any artifact can later be matched against
-the config that produced it (``ovfree verify``).  ``moments`` and
-``killer`` also have direct flag forms for one-off evaluation.
+the config that produced it (``ovfree verify``).  Each schema is checked
+against its metaschema once per process, on first use, not at import.
+``moments`` and ``killer`` also have direct flag forms for one-off
+evaluation.
 
 Exit codes: 0 success, 2 config/schema error, 3 numerical failure (the
 originating error is printed as JSON on stderr).  ``OVFREE_THREADS`` caps
@@ -26,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import numpy as np
+from jsonschema.validators import validator_for
 
 from . import __version__, convolution, linalg, measures, moments, ovdist, transforms
 from . import killer as killermod
@@ -139,6 +142,31 @@ CONFIG_SCHEMA = {
         "output": {"type": "string", "minLength": 1},
     },
 }
+
+
+# Validators of the schemas above, keyed by ``id(schema)``; filled on first use.
+# Each validator holds its schema, so no cached id can be reused by another
+# object.  Holds at most CONFIG_SCHEMA and the PARAM_SCHEMAS values.
+_VALIDATORS = {}
+
+
+class _CheckedOnce:
+    """Validator class for ``jsonschema.validate`` that checks each schema
+    against its metaschema, and builds its validator, once per process.
+
+    ``validate`` calls ``check_schema`` and then the class, which hands back
+    the cached validator; error selection stays ``validate``'s own."""
+
+    @staticmethod
+    def check_schema(schema):
+        if id(schema) not in _VALIDATORS:
+            cls = validator_for(schema)
+            cls.check_schema(schema)  # a SchemaError leaves nothing cached
+            # setdefault: a thread that lost a race keeps the first validator
+            _VALIDATORS.setdefault(id(schema), cls(schema))
+
+    def __new__(cls, schema):
+        return _VALIDATORS[id(schema)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +486,9 @@ def _error_json(exit_code: int, kind: str, message: str) -> int:
 def run_config(config: dict) -> int:
     """Validate, execute, and write the artifact; returns the exit code."""
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-        jsonschema.validate(config["params"], PARAM_SCHEMAS[config["command"]])
+        jsonschema.validate(config, CONFIG_SCHEMA, cls=_CheckedOnce)
+        jsonschema.validate(config["params"], PARAM_SCHEMAS[config["command"]],
+                            cls=_CheckedOnce)
         _require_finite(config["params"], "params")
         _max_workers(1)  # surfaces a malformed OVFREE_THREADS before running
     except jsonschema.ValidationError as exc:
@@ -516,7 +545,9 @@ def _handle_moments(args) -> int:
                                  "position": 0.0}}[args.law]
     except (ValueError, SyntaxError, KeyError, TypeError) as exc:
         return _error_json(2, "ArgumentError", f"bad word or law: {exc}")
-    n_vars = max(var for _, var in word)
+    # at least one law, so the schema reports an empty word and _cmd_moments
+    # a variable below 1
+    n_vars = max([1, *(var for _, var in word)])
     config = {"command": "moments", "seed": args.seed,
               "params": {"word": word, "laws": [law] * n_vars,
                          "mode": args.mode},

@@ -7,9 +7,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 import ovfree
 from conftest import TOL, assert_matches_golden, blas_config
@@ -53,6 +56,14 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=_fresh_interpreter_env(),
                           capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_checks_no_schema():
+    # schemas are checked on first use, so importing the CLI builds no validator
+    probe = "import ovfree.cli; print(len(ovfree.cli._VALIDATORS))"
+    done = subprocess.run([sys.executable, "-c", probe], env=_fresh_interpreter_env(),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "0"
 
 
 class TestGoldenArtifacts:
@@ -249,6 +260,129 @@ class TestSchemaGate:
         assert err["message"].startswith(path + " must be a finite number")
 
 
+_CAUCHY = {"variant": "cauchy", "location": 0.0, "scale": 1.0}
+_B = {"dim": 1, "re": [[0.0]], "im": [[2.0]]}
+
+
+def _dirac(value):
+    return {"kind": "dirac", "operator": {"dim": 1, "re": [[value]], "im": [[0.0]]}}
+
+
+# One cheap config per command, each of which exits 0.
+VALID_PARAMS = {
+    "g-eval": {"dist": _dirac(0.3), "b": _B},
+    "r-eval": {"dist": _dirac(0.02), "lam": 0.4, "n_pairs": 1,
+               "w": linalg.matrix_to_json(
+                   np.linalg.inv(np.diag([0.4j, -0.4j]) - 0.02 * np.eye(2)))},
+    "certify": {"dist": _dirac(0.3), "lam": 0.8, "n_pairs": 1},
+    "convolve": {"x": _dirac(0.42), "y": _dirac(0.43), "lam": 0.8,
+                 "n_pairs": 1, "points": 1},
+    "truncate-sweep": {"law": _CAUCHY, "b": _B, "cutoffs": [1.0]},
+    "moments": {"word": [[[0.0, 2.0], 1]], "laws": [_CAUCHY], "mode": "free"},
+    "fbcs": {"z_values": [[0.0, 2.0], [0.0, 3.0]], "indices": [1, 2], "law": _CAUCHY},
+    "neumann": {"B": _B, "laws": [_CAUCHY], "mode": "free", "p_max": 2},
+    "killer": {"targets": [[0.0, 1.0]]},
+    "block-identity": {"law": _CAUCHY,
+                       "B": {"dim": 2, "re": [[0.0, 0.0], [0.0, 0.0]],
+                             "im": [[3.0, 0.0], [0.0, 3.0]]}},
+    "convergence": {"dists": [_dirac(0.3)], "probes": [_B], "limit": _dirac(0.3)},
+}
+
+
+def _valid_config(command):
+    return {"command": command, "seed": 0, "params": VALID_PARAMS[command],
+            "output": "-"}
+
+
+def _mutants():
+    """(level, config) pairs that may break the top-level schema ("top") or one
+    command's params schema ("params"); some params mutants stay valid."""
+    for command in VALID_PARAMS:
+        base = _valid_config(command)
+        yield "top", dict(base, extra=1)
+        for key in base:
+            yield "top", {k: v for k, v in base.items() if k != key}
+        yield "top", dict(base, seed=1.5)
+        yield "top", dict(base, command="nope")
+        for key in base["params"]:
+            params = {k: v for k, v in base["params"].items() if k != key}
+            yield "params", dict(base, params=params)
+            for bad in (None, "x", -1, [], {}):
+                yield "params", dict(base, params=dict(base["params"], **{key: bad}))
+
+
+def _library_message(config):
+    """The message jsonschema's own validate gives, or None if both schemas pass."""
+    try:
+        jsonschema.validate(config, cli.CONFIG_SCHEMA)
+        jsonschema.validate(config["params"], cli.PARAM_SCHEMAS[config["command"]])
+    except jsonschema.ValidationError as exc:
+        return exc.message
+    return None
+
+
+class TestSchemaCheckedOnce:
+    """Validators are built once per schema and report what jsonschema reports."""
+
+    def test_messages_match_the_library(self, capsys):
+        corpus = [(level, config, message) for level, config in _mutants()
+                  if (message := _library_message(config)) is not None]
+        assert ({c["command"] for level, c, _ in corpus if level == "params"}
+                == set(VALID_PARAMS))
+        for _, config, message in corpus:
+            assert cli.run_config(config) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == {
+                "exit": 2, "type": "SchemaError", "message": message}
+
+    def test_each_schema_checked_once(self, monkeypatch, capsys):
+        real = validator_for(cli.CONFIG_SCHEMA)
+        assert all(validator_for(s) is real for s in cli.PARAM_SCHEMAS.values())
+        checked = []
+        check_schema = real.check_schema
+
+        def counting(schema, *args, **kwargs):
+            checked.append(id(schema))
+            return check_schema(schema, *args, **kwargs)
+
+        monkeypatch.setattr(real, "check_schema", counting)
+        monkeypatch.setattr(cli, "_VALIDATORS", {})
+        for _ in range(2):
+            for command in VALID_PARAMS:
+                assert cli.run_config(_valid_config(command)) == 0, command
+        capsys.readouterr()
+        assert checked == [id(cli.CONFIG_SCHEMA)] + [id(cli.PARAM_SCHEMAS[c])
+                                                     for c in VALID_PARAMS]
+
+    def test_broken_schema_still_fails(self, monkeypatch):
+        broken = {"type": "object", "properties": {"targets": {"type": "no-such-type"}}}
+        monkeypatch.setitem(cli.PARAM_SCHEMAS, "killer", broken)
+        for _ in range(2):
+            with pytest.raises(jsonschema.SchemaError):
+                cli.run_config(_valid_config("killer"))
+
+    def test_tracer_namespace(self, monkeypatch, capsys):
+        # benchmark/tracing.py swaps cli.jsonschema for a namespace holding
+        # only these two names, with validate wrapped in a span
+        invalid = dict(_valid_config("moments"), seed=-1)
+        assert cli.run_config(invalid) == 2
+        expected = capsys.readouterr().err
+        calls = []
+
+        def validate(*args, **kwargs):
+            calls.append(args[1])
+            return jsonschema.validate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "jsonschema", types.SimpleNamespace(
+            validate=validate, ValidationError=jsonschema.ValidationError))
+        assert cli.run_config(_valid_config("moments")) == 0
+        assert calls == [cli.CONFIG_SCHEMA, cli.PARAM_SCHEMAS["moments"]]
+        capsys.readouterr()
+        assert cli.run_config(invalid) == 2
+        assert capsys.readouterr().err == expected
+
+
 class TestNumericalFailures:
     def test_neumann_without_dominance(self, tmp_path, monkeypatch, capsys):
         config = {"command": "neumann", "seed": 0,
@@ -329,6 +463,17 @@ class TestFlagForms:
     def test_moments_bad_word_string(self, capsys):
         assert cli.main(["moments", "--word", "[(2i,"]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["exit"] == 2
+
+    @pytest.mark.parametrize("word, message", [
+        ("[]", "[] should be non-empty"),
+        ("[(2i,0)]", "word variables are numbered from 1"),
+    ], ids=["empty-word", "variable-0"])
+    def test_moments_bad_variable_list(self, word, message, capsys):
+        assert cli.main(["moments", "--word", word]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "exit": 2, "type": "SchemaError", "message": message}
 
     def test_killer_parses_mixed_notation(self, capsys):
         rc = cli.main(["killer", "--targets", "i, 1+i, 0.3+2i"])
