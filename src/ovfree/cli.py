@@ -32,7 +32,7 @@ from jsonschema.validators import validator_for
 
 from . import __version__, convolution, linalg, measures, moments, ovdist, transforms
 from . import killer as killermod
-from .errors import OvfreeError, UnsupportedPoint
+from .errors import OvfreeError
 
 _COMPLEX = {"type": "array", "minItems": 2, "maxItems": 2,
             "items": {"type": "number"}}
@@ -94,7 +94,9 @@ PARAM_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "word": {"type": "array", "minItems": 1,
-                     "items": {"type": "array", "minItems": 2, "maxItems": 2}},
+                     "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                               "prefixItems": [
+                                   _COMPLEX, {"type": "integer", "minimum": 1}]}},
             "laws": {"type": "array", "items": _LAW, "minItems": 1},
             "mode": {"enum": list(moments.MODES)}}},
     "fbcs": {
@@ -280,21 +282,6 @@ def _cmd_certify(params, seed):
     return "json", ball.to_json()
 
 
-def _sum_model(x: ovdist.OVDistribution, y: ovdist.OVDistribution):
-    """A samplable model of X + Y, for the pair kinds where one exists."""
-    if isinstance(x, ovdist.DiracB) and isinstance(y, ovdist.DiracB):
-        return ovdist.DiracB(x.operator + y.operator)
-    if isinstance(x, ovdist.OVSemicircular) and isinstance(y, ovdist.OVSemicircular):
-        return ovdist.OVSemicircular(x.coefficients + y.coefficients)
-    if (isinstance(x, ovdist.ScalarEmbedded) and isinstance(y, ovdist.ScalarEmbedded)
-            and isinstance(x.law, measures.Cauchy)
-            and isinstance(y.law, measures.Cauchy)):
-        law = measures.Cauchy(x.law.location + y.law.location,
-                              x.law.scale + y.law.scale)
-        return ovdist.ScalarEmbedded(law, base_dim=x.base_dim)
-    raise UnsupportedPoint("no sampled model of the sum for this pair")
-
-
 def _cmd_convolve(params, seed):
     x = _dist_from_json(params["x"])
     y = _dist_from_json(params["y"])
@@ -302,7 +289,7 @@ def _cmd_convolve(params, seed):
                                                params["n_pairs"], seed=seed)
     targets = task.sample_targets(params["points"], seed=seed)
     mc = params.get("mc")
-    model = _sum_model(x, y) if mc is not None else None
+    model = ovdist.FreeSum(x, y) if mc is not None else None
 
     def solve(item):
         pid, w_star = item
@@ -347,10 +334,7 @@ def _cmd_moments(params, seed):
     letters = []
     for entry in params["word"]:
         (re_part, im_part), var = entry
-        var = int(var)
-        if var < 1:
-            raise _SchemaViolation("word variables are numbered from 1")
-        letters.append((complex(re_part, im_part), var - 1))
+        letters.append((complex(re_part, im_part), int(var) - 1))
     laws = tuple(_law(law) for law in params["laws"])
     word = moments.ResolventWord(tuple(letters), laws, mode=params["mode"])
     value = moments.mixed_moment(word)
@@ -363,8 +347,6 @@ def _cmd_fbcs(params, seed):
     zs = [complex(r, i) for r, i in params.get("z_values",
                                                [[0, 2], [0, 3], [0, 2]])]
     indices = [int(i) - 1 for i in params.get("indices", [1, 2, 1])]
-    if any(i < 0 for i in indices):
-        raise _SchemaViolation("variable indices are numbered from 1")
     law = _law(params["law"]) if "law" in params else measures.Cauchy(0.0, 1.0)
     report = moments.fbcs_check(zs, indices, law=law)
     rows = []
@@ -533,7 +515,9 @@ def _handle_run(args) -> int:
 def _handle_moments(args) -> int:
     try:
         raw = ast.literal_eval(_python_complex_syntax(args.word))
-        word = [[_pair(complex(z)), int(var)] for z, var in raw]
+        word = [[_pair(complex(z)), var] for z, var in raw]
+        # at least one law, so the schema reports an empty word or a bad variable
+        n_vars = max([1, *(int(var) for _, var in word)])
         if args.law.lstrip().startswith("{"):
             law = json.loads(args.law)
         else:
@@ -545,9 +529,6 @@ def _handle_moments(args) -> int:
                                  "position": 0.0}}[args.law]
     except (ValueError, SyntaxError, KeyError, TypeError) as exc:
         return _error_json(2, "ArgumentError", f"bad word or law: {exc}")
-    # at least one law, so the schema reports an empty word and _cmd_moments
-    # a variable below 1
-    n_vars = max([1, *(var for _, var in word)])
     config = {"command": "moments", "seed": args.seed,
               "params": {"word": word, "laws": [law] * n_vars,
                          "mode": args.mode},

@@ -199,16 +199,19 @@ def sampled_G_of_sum(task: ConvolutionTask, sum_model: OVDistribution, b,
                      big_dim: int, trials: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of G_{X+Y}(b) from a sampled model of X + Y.
 
-    The arguments have imaginary parts of both signs, where a sampled
-    resolvent is controlled only when the model's norm bound stays below
-    the block margin of ``b``; ``MarginViolation`` is raised otherwise.
+    At an Omega point every block-amplified sampled resolvent is bounded by
+    1/(m - e), with m the smallest diagonal-block margin of ``b`` and e its
+    off-block norm, whatever the model; the norm gate does not keep the
+    samples bounded.  It refuses models whose norm bound reaches m - e,
+    those with no finite norm bound included, because their finite-N bias
+    is not measured: ``MarginViolation`` is raised for them.
     """
     bound = sum_model.norm_bound()
     point = omega_membership(b, task.ball_x.n_pairs, task.ball_x.base_dim)
     if not bound < point.margin:
         raise MarginViolation(
             f"model norm bound {bound:.3e} reaches the argument margin "
-            f"{point.margin:.3e}; the sampled resolvent is uncontrolled")
+            f"{point.margin:.3e}; the finite-N bias of such a model is not measured")
     return mc_estimate_G(sum_model, b, big_dim=big_dim, trials=trials, seed=seed)
 
 

@@ -64,7 +64,3 @@ class MarginViolation(OvfreeError):
 
 class FreeModeUnsupportedLaw(OvfreeError):
     """The four-mode agreement check (``moments.fbcs_check``) needs a Cauchy law."""
-
-
-class MixerSyntaxError(OvfreeError):
-    """The matrix-model mixer expression could not be parsed."""

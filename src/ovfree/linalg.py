@@ -40,7 +40,7 @@ def as_matrix(x) -> np.ndarray:
         raise DimensionMismatch("empty matrix")
     if a.shape[0] > MAX_DIM:
         raise DimensionMismatch(f"dimension {a.shape[0]} exceeds supported envelope {MAX_DIM}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a.copy()
 

@@ -16,8 +16,8 @@ so a derivative at b needs edge(b) <= ``linalg.MAX_DIM // 2``.
 
 Variants that admit a faithful random-matrix realization also expose
 ``sample``; :func:`mc_estimate_G` turns samples into a G estimate with a
-standard error, which is the fallback when no deterministic evaluation
-exists (polynomial mixers).
+standard error.  :class:`FreeSum` has no ``eval_G``: it is evaluated by
+sampling only, as a check of the subordination solver for sums.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, measures, rng as rngmod
-from .errors import (DimensionMismatch, MixerSyntaxError, NoConvergence,
-                     OutsideResolvent, RealAxisPoint, SingularMatrix,
-                     UnsupportedPoint)
+from .errors import (DimensionMismatch, NoConvergence, OutsideResolvent,
+                     RealAxisPoint, SingularMatrix, UnsupportedPoint)
 
 _FIXED_POINT_TOL = 1e-13
 _FIXED_POINT_MAX_ITER = 20000
@@ -289,174 +288,35 @@ class OVSemicircular(OVDistribution):
 
 
 # ---------------------------------------------------------------------------
-# polynomial mixers over constants and free scalar variables
+# sums of free summands
 
 
-def parse_mixer(text: str):
-    """Parse '+ * ( )' expressions over X<i>, C<i> and numeric literals."""
-    tokens = _tokenize(text)
-    pos = 0
+@dataclass(frozen=True, eq=False, init=False)
+class FreeSum(OVDistribution):
+    """X_1 + ... + X_k for free summands over one base algebra, by sampling only.
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = term()
-            node = ("+", node, rhs) if op == "+" else ("+", node, ("*", ("s", -1.0), rhs))
-        return node
-
-    def term():
-        node = factor()
-        while peek() == "*":
-            take()
-            node = ("*", node, factor())
-        return node
-
-    def factor():
-        tok = take()
-        if tok is None:
-            raise MixerSyntaxError("unexpected end of mixer expression")
-        if tok == "(":
-            node = expr()
-            if take() != ")":
-                raise MixerSyntaxError("unbalanced parentheses in mixer")
-            return node
-        if tok == "-":
-            return ("*", ("s", -1.0), factor())
-        if isinstance(tok, tuple):
-            return tok
-        raise MixerSyntaxError(f"unexpected token {tok!r} in mixer")
-
-    node = expr()
-    if peek() is not None:
-        raise MixerSyntaxError(f"trailing input after mixer expression: {peek()!r}")
-    return node
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*()":
-            tokens.append(ch)
-            i += 1
-        elif ch in "XC":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise MixerSyntaxError(f"{ch} needs a variable number at column {i}")
-            num = int(text[i + 1:j])
-            if num < 1:
-                raise MixerSyntaxError(f"{ch}{num}: variables are numbered from 1")
-            tokens.append(("x" if ch == "X" else "c", num - 1))
-            i = j
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            try:
-                tokens.append(("s", float(text[i:j])))
-            except ValueError as exc:
-                raise MixerSyntaxError(f"bad number {text[i:j]!r}") from exc
-            i = j
-        else:
-            raise MixerSyntaxError(f"stray character {ch!r} at column {i}")
-    return tokens
-
-
-def _mixer_vars(node, kind: str) -> set:
-    if node[0] == kind:
-        return {node[1]}
-    if node[0] in ("+", "*"):
-        return _mixer_vars(node[1], kind) | _mixer_vars(node[2], kind)
-    return set()
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixModel(OVDistribution):
-    """Self-adjoint polynomial in free scalar variables and constant matrices.
-
-    The mixer grammar knows X1, X2, ... (scalar variables with the given
-    laws), C1, C2, ... (constant matrices in the base algebra), numbers,
-    +, -, * and parentheses.  Evaluation is by sampling only.
+    Each sample adds independent samples of the summands; independent
+    Haar-rotated or GUE realizations are asymptotically free (Voiculescu,
+    Invent. Math. 104, 1991).
     """
 
-    mixer: str
-    laws: tuple
-    constants: tuple = ()
-    base_dim: int = 1
+    summands: tuple
 
-    def __post_init__(self):
-        tree = parse_mixer(self.mixer)
-        consts = tuple(linalg.as_matrix(c) for c in self.constants)
-        for c in consts:
-            if c.shape[0] != self.base_dim:
-                raise DimensionMismatch("constants must live in the base algebra")
-        xs = _mixer_vars(tree, "x")
-        cs = _mixer_vars(tree, "c")
-        if xs and max(xs) >= len(self.laws):
-            raise MixerSyntaxError(f"mixer references X{max(xs) + 1} "
-                                   f"but only {len(self.laws)} laws given")
-        if cs and max(cs) >= len(consts):
-            raise MixerSyntaxError(f"mixer references C{max(cs) + 1} "
-                                   f"but only {len(consts)} constants given")
-        object.__setattr__(self, "laws", tuple(self.laws))
-        object.__setattr__(self, "constants", consts)
-        object.__setattr__(self, "_tree", tree)
+    def __init__(self, *summands):
+        if len({s.base_dim for s in summands}) != 1:
+            raise DimensionMismatch("need one or more summands over one base algebra")
+        object.__setattr__(self, "summands", summands)
+
+    @property
+    def base_dim(self):  # type: ignore[override]
+        return self.summands[0].base_dim
 
     def norm_bound(self) -> float:
-        return self._bound(self._tree)
-
-    def _bound(self, node) -> float:
-        kind = node[0]
-        if kind == "s":
-            return abs(node[1])
-        if kind == "x":
-            return self.laws[node[1]].support_bound()
-        if kind == "c":
-            return linalg.operator_norm(self.constants[node[1]])
-        a, b = self._bound(node[1]), self._bound(node[2])
-        if kind == "+":
-            return a + b
-        return 0.0 if (a == 0.0 or b == 0.0) else a * b
+        return sum(s.norm_bound() for s in self.summands)
 
     def sample(self, big_dim: int, gen) -> np.ndarray:
-        m = self.base_dim * big_dim
-        xs = {i: np.kron(np.eye(self.base_dim),
-                         measures.realization(self.laws[i], big_dim, gen))
-              for i in _mixer_vars(self._tree, "x")}
-        cs = {i: np.kron(self.constants[i], np.eye(big_dim))
-              for i in _mixer_vars(self._tree, "c")}
-
-        def evaluate(node):
-            kind = node[0]
-            if kind == "s":
-                return node[1] * np.eye(m, dtype=complex)
-            if kind == "x":
-                return xs[node[1]]
-            if kind == "c":
-                return cs[node[1]]
-            left, right = evaluate(node[1]), evaluate(node[2])
-            return left + right if kind == "+" else left @ right
-
-        out = evaluate(self._tree)
-        if not linalg.is_hermitian(out, tol=1e-9):
-            raise UnsupportedPoint("mixer does not produce a self-adjoint model; "
-                                   "symmetrize it before sampling")
-        return (out + out.conj().T) / 2
+        first, *rest = [s.sample(big_dim, gen) for s in self.summands]
+        return sum(rest, first)
 
 
 # ---------------------------------------------------------------------------

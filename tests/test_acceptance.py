@@ -125,8 +125,8 @@ def test_criterion_03_r_transform_additivity():
         ovdist.ScalarEmbedded(measures.Semicircle(0.0009)), 0.4, 1)
     mc_scalar = cv.verify_additivity_mc(
         scalar_task,
-        ovdist.MatrixModel("X1 + X2", (measures.Semicircle(0.0004),
-                                       measures.Semicircle(0.0009))),
+        ovdist.FreeSum(ovdist.ScalarEmbedded(measures.Semicircle(0.0004)),
+                       ovdist.ScalarEmbedded(measures.Semicircle(0.0009))),
         count=2, seed=2, big_dim=200, trials=8)
 
     ok = (points >= 20 and worst <= 1e-8

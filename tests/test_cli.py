@@ -216,6 +216,25 @@ class TestSchemaGate:
         monkeypatch.setenv("OVFREE_THREADS", "zap")
         assert _run(tmp_path, monkeypatch, self.base) == 2
 
+    @pytest.mark.parametrize("var", [1.7, True], ids=["float", "bool"])
+    def test_moments_variable_must_be_an_integer(self, var, tmp_path, monkeypatch,
+                                                 capsys):
+        config = {"command": "moments", "seed": 0,
+                  "params": {"word": [[[0.0, 2.0], var]], "laws": [_CAUCHY],
+                             "mode": "free"},
+                  "output": "o.json"}
+        assert _run(tmp_path, monkeypatch, config) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "exit": 2, "type": "SchemaError",
+            "message": f"{var} is not of type 'integer'"}
+
+    def test_moments_variable_may_be_an_integral_float(self, tmp_path, monkeypatch):
+        config = {"command": "moments", "seed": 0,
+                  "params": {"word": [[[0.0, 2.0], 1.0]], "laws": [_CAUCHY],
+                             "mode": "free"},
+                  "output": "o.json"}
+        assert _run(tmp_path, monkeypatch, config) == 0
+
     @pytest.mark.parametrize("law", [
         {"variant": "quadrature", "nodes": [1.0, 0.0], "weights": [0.5, 0.5]},
         {"variant": "quadrature", "nodes": [0.0, 1.0], "weights": [1.0]},
@@ -412,6 +431,23 @@ class TestNumericalFailures:
         assert "model norm bound 8.500e-01" in err["message"]
         assert re.search(r"argument margin \d\.\d{3}e[-+]\d\d", err["message"])
 
+    def test_convolve_mc_samples_any_bounded_pair(self, tmp_path, monkeypatch):
+        def semicircle(variance):
+            return {"kind": "scalar",
+                    "law": {"variant": "semicircle", "variance": variance}}
+
+        config = {"command": "convolve", "seed": 0,
+                  "params": {"x": semicircle(0.0004), "y": semicircle(0.0009),
+                             "lam": 0.4, "n_pairs": 1, "points": 2,
+                             "mc": {"big_dim": 40, "trials": 3}},
+                  "output": "o.csv"}
+        assert _run(tmp_path, monkeypatch, config) == 0
+        lines = (tmp_path / "o.csv").read_text().splitlines()
+        assert lines[1].endswith(",discrepancy,stderr_budget")
+        budgets = [float(row.split(",")[-1]) for row in lines[2:]]
+        assert len(budgets) == 2
+        assert all(0 < b < math.inf for b in budgets)
+
     def test_killer_target_off_the_half_plane(self, tmp_path, monkeypatch, capsys):
         config = {"command": "killer", "seed": 0,
                   "params": {"targets": [[1.0, -1.0]]}, "output": "o.json"}
@@ -466,8 +502,10 @@ class TestFlagForms:
 
     @pytest.mark.parametrize("word, message", [
         ("[]", "[] should be non-empty"),
-        ("[(2i,0)]", "word variables are numbered from 1"),
-    ], ids=["empty-word", "variable-0"])
+        ("[(2i,0)]", "0 is less than the minimum of 1"),
+        ("[(2i,1.7)]", "1.7 is not of type 'integer'"),
+        ("[(2i,True)]", "True is not of type 'integer'"),
+    ], ids=["empty-word", "variable-0", "variable-1.7", "variable-true"])
     def test_moments_bad_variable_list(self, word, message, capsys):
         assert cli.main(["moments", "--word", word]) == 2
         lines = capsys.readouterr().err.splitlines()

@@ -228,8 +228,8 @@ class TestVerifyAdditivityMC:
         assert all(s > 0 for s in report.stderrs)
 
     def test_unbounded_model_is_refused(self, cauchy_task):
-        model = ovdist.MatrixModel(
-            "X1 + X2", (measures.Cauchy(0.0, 0.01), measures.Cauchy(0.0, 0.015)))
+        model = ovdist.FreeSum(ovdist.ScalarEmbedded(measures.Cauchy(0.0, 0.01)),
+                               ovdist.ScalarEmbedded(measures.Cauchy(0.0, 0.015)))
         with pytest.raises(MarginViolation):
             cv.verify_additivity_mc(cauchy_task, model, count=1, seed=1,
                                     big_dim=50, trials=2)

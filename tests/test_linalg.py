@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ovfree import linalg as la
+from ovfree import linalg as la, ovdist
 from ovfree.errors import DimensionMismatch, SingularMatrix
 
 from conftest import random_half_plane, random_hermitian, stream
@@ -15,6 +15,19 @@ def test_as_matrix_validation():
     with pytest.raises(ValueError):
         la.as_matrix(np.array([[np.nan, 0], [0, 1]]))
     assert la.as_matrix(3.0 + 1j).shape == (1, 1)
+
+
+def test_as_matrix_takes_non_contiguous_views():
+    a = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)
+    np.testing.assert_array_equal(la.as_matrix(a[::2, ::2]), a[::2, ::2])
+    b = np.array([[2j, 0.3], [0.1, 3j]])
+    np.testing.assert_array_equal(ovdist.DiracB(np.eye(2)).eval_G(b.T),
+                                  la.inverse(b.T - np.eye(2)))
+    a[2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        la.as_matrix(a[::2, ::2])
+    with pytest.raises(ValueError, match="finite"):
+        la.as_matrix(a.T[:2, :3:2])
 
 
 def test_inverse_well_conditioned():

@@ -6,8 +6,8 @@ import scipy.integrate
 
 from ovfree import linalg, measures as ms, ovdist as ov, rng as rngmod
 from ovfree import transforms as tr
-from ovfree.errors import (DimensionMismatch, MixerSyntaxError, NoConvergence,
-                           OutsideResolvent, RealAxisPoint, UnsupportedPoint)
+from ovfree.errors import (DimensionMismatch, NoConvergence, OutsideResolvent,
+                           RealAxisPoint, UnsupportedPoint)
 
 
 def central_diff_dG(dist, b, h, eps=1e-6):
@@ -323,44 +323,43 @@ def test_derivative_dim_limit(dist):
 
 
 # ---------------------------------------------------------------------------
-# polynomial mixers
+# sums of free summands
 
 
-class TestMatrixModel:
-    @pytest.mark.parametrize("bad", [
-        "X1 +", "X0", "C1 C2", "X1 $ X2", "((X1)", "X1 * (X2 + X3)", "", "C9 * X1",
-    ])
-    def test_syntax_and_reference_errors(self, bad):
-        with pytest.raises(MixerSyntaxError):
-            ov.MatrixModel(bad, (ms.Semicircle(1.0), ms.Semicircle(1.0)),
-                           (np.eye(2),), base_dim=2)
+class TestFreeSum:
+    def test_dirac_summands_sample_as_their_sum(self):
+        a = np.array([[1.0, 0.2], [0.2, -0.5]])
+        b = np.array([[0.3, -0.1j], [0.1j, 0.7]])
+        total = ov.FreeSum(ov.DiracB(a), ov.DiracB(b)).sample(5, rngmod.stream(3, 0))
+        assert total.shape == (10, 10)
+        np.testing.assert_array_equal(total,
+                                      ov.DiracB(a + b).sample(5, rngmod.stream(3, 0)))
+
+    def test_semicircular_summands_sample_as_one_family(self):
+        c1, c2, c3 = np.diag([0.2, 0.1]), np.array([[0.0, 0.1], [0.1, 0.0]]), 0.3 * np.eye(2)
+        total = ov.FreeSum(ov.OVSemicircular((c1, c2)), ov.OVSemicircular((c3,)))
+        family = ov.OVSemicircular((c1, c2, c3))
+        np.testing.assert_array_equal(total.sample(6, rngmod.stream(4, 1)),
+                                      family.sample(6, rngmod.stream(4, 1)))
 
     def test_norm_bound_arithmetic(self):
-        model = ov.MatrixModel("C1 * X1 * C1 + 0.5 * X2",
-                               (ms.Semicircle(1.0), ms.bernoulli(1, 0)),
-                               (np.diag([1.0, 0.5]),), base_dim=2)
-        # |C|^2 * 2 + 0.5 * 1
-        assert model.norm_bound() == pytest.approx(2.5)
-        unbounded = ov.MatrixModel("X1", (ms.Cauchy(0, 1),), ())
-        assert unbounded.norm_bound() == np.inf
+        op = np.diag([1.0, -0.5])
+        semi = ov.ScalarEmbedded(ms.Semicircle(1.0), base_dim=2)
+        total = ov.FreeSum(ov.DiracB(op), semi)
+        assert total.norm_bound() == 1.0 + 2.0
+        cauchy = ov.ScalarEmbedded(ms.Cauchy(0, 1), base_dim=2)
+        assert ov.FreeSum(ov.DiracB(op), cauchy).norm_bound() == np.inf
 
-    def test_sample_is_self_adjoint(self):
-        model = ov.MatrixModel("C1 * X1 * C1 + 0.5 * X2 - X1",
-                               (ms.Semicircle(1.0), ms.bernoulli(1, 0)),
-                               (np.diag([1.0, 0.5]),), base_dim=2)
-        t = model.sample(20, rngmod.stream(3, 0))
-        assert t.shape == (40, 40)
-        assert np.abs(t - t.conj().T).max() <= 1e-12
-
-    def test_non_self_adjoint_mixer_rejected_at_sampling(self):
-        model = ov.MatrixModel("C1 * X1", (ms.Semicircle(1.0),),
-                               (np.array([[0.0, 1.0], [0.0, 0.0]]),), base_dim=2)
-        with pytest.raises(UnsupportedPoint):
-            model.sample(6, rngmod.stream(0, 0))
+    def test_base_dims_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            ov.FreeSum(ov.DiracB(np.eye(2)), ov.ScalarEmbedded(ms.Semicircle(1.0)))
+        with pytest.raises(DimensionMismatch):
+            ov.FreeSum()
 
     def test_free_sum_of_semicircles(self):
         # X1 + X2 for free standard semicirculars has variance-2 semicircle law
-        model = ov.MatrixModel("X1 + X2", (ms.Semicircle(1.0), ms.Semicircle(1.0)), ())
+        model = ov.FreeSum(ov.ScalarEmbedded(ms.Semicircle(1.0)),
+                           ov.ScalarEmbedded(ms.Semicircle(1.0)))
         est = ov.mc_estimate_G(model, np.array([[2.5j]]), big_dim=400, trials=8, seed=9)
         expected = ms.g_scalar(ms.Semicircle(2.0), 2.5j)
         assert abs(est.mean[0, 0] - expected) <= max(4 * est.stderr, 5e-4)
