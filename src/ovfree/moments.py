@@ -11,12 +11,16 @@ independence mode only decides *how* letters regroup:
 * ``equal``     - all letters are the same operator, one big group;
 * ``classical`` - commuting variables, group letters by index;
 * ``boolean``   - split at every index change, multiply the runs;
-* ``free``      - center each run (a° = a - phi(a)) and use that alternating
-                  centered products vanish, merging adjacent same-index runs
-                  L, R as they appear through
-                  L°R° = (LR)° - phi(L) R° - phi(R) L° + (phi(LR) - phi(L) phi(R)) 1,
-                  which holds for every law and for letters in either
-                  half-plane.
+* ``free``      - center the runs left to right and use that alternating
+                  centered products vanish.  N(C; R) = phi(C_1°...C_j° R_1...R_l),
+                  a centered prefix C before uncentered runs R, follows from
+                  R_1 = R_1° + phi(R_1) and, where C_j and R_2 share a
+                  variable, C_j° R_2 = C_j R_2 - phi(C_j) R_2; the word is
+                  N((); runs).  This holds for every law and for letters in
+                  either half-plane.  A single word's value is cached; its
+                  states are memoized only while it is evaluated, and one
+                  :func:`matrix_G_via_neumann` call shares one state memo
+                  over all its words.
 
 For Cauchy-family laws with all letters in one half-plane the four answers
 collapse to the same product over letters, which is what makes the
@@ -134,68 +138,81 @@ def mixed_moment(word: ResolventWord) -> complex:
         for idx, zs in _runs(letters):
             out *= single_var_moment(laws[idx], zs)
         return out
-    return _free_moment(_runs(letters), laws)
+    return _free_word_cached(laws, tuple((idx, _sorted_zs(zs)) for idx, zs in _runs(letters)))
 
 
-# centered-product values per law tuple; cleared whole once it holds more
-# than _FREE_MEMO_CAP entries over all law tuples
-_FREE_MEMO: dict = {}
-_FREE_MEMO_CAP = 1 << 18
-_free_memo_entries = 0
+@lru_cache(maxsize=1 << 16)
+def _free_word_cached(laws, blocks) -> complex:
+    # a lone word's states are rarely shared with other words, so its state
+    # memo lives only as long as this evaluation
+    words = _FreeWords(laws)
+    return words.moment(tuple(words.intern(blk) for blk in blocks))
 
 
-def _free_moment(blocks: list[tuple[int, tuple]], laws) -> complex:
-    """Centering expansion over runs, then the vanishing/merging recursion."""
-    global _free_memo_entries
-    if _free_memo_entries > _FREE_MEMO_CAP:
-        _FREE_MEMO.clear()
-        _free_memo_entries = 0
-    memo = _FREE_MEMO.setdefault(laws, {})
-    stored_before = len(memo)
+class _FreeWords:
+    """Free-mode moments of words over one law tuple, sharing one state memo.
 
-    def phi(idx, zs) -> complex:
-        return single_var_moment(laws[idx], zs)
+    A state N(C; R) = phi(C_1° ... C_j° R_1 ... R_l) is a centered prefix C
+    followed by uncentered runs R, with C_j and R_1 of different variables.
+    Blocks are interned as ints, so a state is a flat int tuple: the ids of C,
+    then -1, then the ids of R.  The memo lives as long as the object.
+    """
 
-    def centered(blocks_key) -> complex:
-        # moment of the product of centered blocks
-        if len(blocks_key) == 0:
-            return 1.0 + 0.0j
-        if len(blocks_key) == 1:
-            return 0.0 + 0.0j
-        if blocks_key in memo:
-            return memo[blocks_key]
-        merge_at = next((j for j in range(len(blocks_key) - 1)
-                         if blocks_key[j][0] == blocks_key[j + 1][0]), None)
-        if merge_at is None:
-            # adjacent indices all differ: alternating centered product vanishes
-            memo[blocks_key] = 0.0 + 0.0j
-            return memo[blocks_key]
-        # L°R° = (LR)° - phi(L) R° - phi(R) L° + (phi(LR) - phi(L) phi(R)) 1
-        j = merge_at
-        left, right = blocks_key[j], blocks_key[j + 1]
-        merged = (left[0], _sorted_zs(left[1] + right[1]))
-        phi_l, phi_r = phi(*left), phi(*right)
-        val = centered(blocks_key[:j] + (merged,) + blocks_key[j + 2:]) \
-            - phi_l * centered(blocks_key[:j] + blocks_key[j + 1:]) \
-            - phi_r * centered(blocks_key[:j + 1] + blocks_key[j + 2:]) \
-            + (phi(*merged) - phi_l * phi_r) * centered(blocks_key[:j] + blocks_key[j + 2:])
-        memo[blocks_key] = val
+    def __init__(self, laws):
+        self.laws = laws
+        self.ids: dict = {}                 # (var, sorted zs) -> block id
+        self.blocks: list = []              # block id -> (var, sorted zs)
+        self.phis: list = []                # block id -> phi, or None until needed
+        self.memo: dict = {}                # state -> N(C; R)
+
+    def moment(self, ids) -> complex:
+        """phi of the word whose runs are the interned blocks ``ids``."""
+        return self._n((), ids)
+
+    def intern(self, blk) -> int:
+        """Id of the block ``blk``, a (var, sorted zs) pair."""
+        bid = self.ids.get(blk)
+        if bid is None:
+            bid = self.ids[blk] = len(self.blocks)
+            self.blocks.append(blk)
+            self.phis.append(None)
+        return bid
+
+    def _phi(self, bid) -> complex:
+        val = self.phis[bid]
+        if val is None:
+            var, zs = self.blocks[bid]
+            val = self.phis[bid] = _single_var_cached(self.laws[var], zs)
         return val
 
-    key = tuple((idx, _sorted_zs(zs)) for idx, zs in blocks)
-    phis = [phi(*blk) for blk in key]
-    total = 0.0 + 0.0j
-    for mask in range(1 << len(key)):
-        scalar = 1.0 + 0.0j
-        kept = []
-        for b, blk in enumerate(key):
-            if mask >> b & 1:
-                kept.append(blk)
+    def _merge(self, a, b) -> int:
+        (var, za), (_, zb) = self.blocks[a], self.blocks[b]
+        return self.intern((var, _sorted_zs(za + zb)))
+
+    def _n(self, c, r) -> complex:
+        # R empty: the empty word, or an alternating centered product, which vanishes
+        if not r:
+            return 0j if c else 1.0 + 0j
+        key = c + (-1,) + r
+        val = self.memo.get(key)
+        if val is not None:
+            return val
+        # R_1 = R_1° + phi(R_1): N(C; R) = N(C + (R_1); R_2...) + phi(R_1) S
+        r1, rest = r[0], r[1:]
+        val = self._n(c + (r1,), rest)
+        if not c:
+            val += self._phi(r1) * self._n((), rest)
+        elif rest:
+            cj, r2 = c[-1], rest[0]
+            if self.blocks[cj][0] != self.blocks[r2][0]:
+                s = self._n(c, rest)
             else:
-                scalar *= phis[b]
-        total += scalar * centered(tuple(kept))
-    _free_memo_entries += len(memo) - stored_before
-    return total
+                # C_j° R_2 = C_j R_2 - phi(C_j) R_2
+                s = self._n(c[:-1], (self._merge(cj, r2),) + rest[1:]) \
+                    - self._phi(cj) * self._n(c[:-1], rest)
+            val += self._phi(r1) * s
+        self.memo[key] = val
+        return val
 
 
 def _sorted_zs(zs):
@@ -319,9 +336,12 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
 
     adjacency = (off != 0).astype(float)
     path_tally = np.ones(m)  # adjacency^order @ 1, updated as we go
-    # free-mode words cost exponentially in their length, so cap it separately
+    # a free word of n alternating runs visits 2^n - 1 states (4,095 for 12
+    # letters, with up to 126 distinct blocks), so cap free words separately
     max_letters = 12 if mode == "free" else 64
 
+    # every free word of this call shares one state memo, dropped on return
+    free_words = _FreeWords(laws) if mode == "free" else None
     total = np.zeros((m, m), dtype=complex)
     enumerated = 0
     paths_so_far = 0
@@ -329,7 +349,8 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
         count_this_order = int(path_tally.sum())
         path_tally = adjacency @ path_tally
         if paths_so_far + count_this_order <= path_budget and order + 1 <= max_letters:
-            total += (-1.0) ** order * _term_by_paths(diag, off, succ, var_of, laws, mode, order)
+            total += (-1.0) ** order * _term_by_paths(diag, off, succ, var_of, laws,
+                                                      mode, order, free_words)
             paths_so_far += count_this_order
             enumerated = order + 1
         else:
@@ -342,22 +363,39 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
     return NeumannResult(total, tail, q, enumerated)
 
 
-def _term_by_paths(diag, off, succ, var_of, laws, mode, order) -> np.ndarray:
+def _term_by_paths(diag, off, succ, var_of, laws, mode, order,
+                   free_words) -> np.ndarray:
     m = len(diag)
     term = np.zeros((m, m), dtype=complex)
+    run_ids: dict = {}  # free mode: a run of slots -> its interned block
 
-    def walk(path, coeff):
-        if len(path) == order + 1:
-            letters = tuple((diag[p], var_of[p]) for p in path)
-            word = ResolventWord(letters, laws, mode)
-            term[path[0], path[-1]] += coeff * mixed_moment(word)
+    def run_id(run) -> int:
+        bid = run_ids.get(run)
+        if bid is None:
+            zs = _sorted_zs([complex(diag[p]) for p in run])
+            bid = run_ids[run] = free_words.intern((var_of[run[0]], zs))
+        return bid
+
+    def walk(runs, last, coeff, length):
+        # runs: the path so far, split into maximal same-variable runs of slots
+        if length == order + 1:
+            if free_words is None:
+                letters = tuple((diag[p], var_of[p]) for run in runs for p in run)
+                value = mixed_moment(ResolventWord(letters, laws, mode))
+            else:
+                value = free_words.moment(tuple(run_id(run) for run in runs))
+            term[runs[0][0], last] += coeff * value
             return
-        u = path[-1]
-        for v in succ[u]:
-            walk(path + (int(v),), coeff * off[u, v])
+        for v in succ[last]:
+            v = int(v)
+            if var_of[v] == var_of[last]:
+                grown = runs[:-1] + (runs[-1] + (v,),)
+            else:
+                grown = runs + ((v,),)
+            walk(grown, v, coeff * off[last, v], length + 1)
 
     for start in range(m):
-        walk((start,), 1.0 + 0.0j)
+        walk(((start,),), start, 1.0 + 0.0j, 1)
     return term
 
 

@@ -90,6 +90,58 @@ def haar_free_moment(letters, laws, matrix_dim: int, trials: int, seed: int) -> 
     return acc / trials
 
 
+def inclusion_exclusion_free_moment(letters, laws) -> complex:
+    """Free-mode moment of a resolvent word, straight from the definition of freeness.
+
+    Split the word into runs B_1 ... B_n, adjacent runs of different
+    variables.  Freeness says phi(B_1° ... B_n°) = 0 with B° = B - phi(B).
+    Expanding the product,
+
+        sum over S of prod_{j not in S} (-phi(B_j)) * phi(B_S) = 0,
+
+    where B_S keeps the runs in S, in order, with adjacent runs of one
+    variable merged.  The term S = all runs is the word itself; every other
+    term is a word with fewer runs.  One-run words go to
+    ``moments.single_var_moment``; the free-mode code of ``moments`` is never
+    consulted.
+    """
+    from ovfree import moments
+
+    memo = {}
+
+    def append(runs, var, zs):
+        if runs and runs[-1][0] == var:
+            return runs[:-1] + ((var, runs[-1][1] + zs),)
+        return runs + ((var, zs),)
+
+    def moment(runs) -> complex:
+        if not runs:
+            return 1.0 + 0.0j
+        if len(runs) == 1:
+            var, zs = runs[0]
+            return moments.single_var_moment(laws[var], zs)
+        key = tuple((var, tuple(sorted(zs, key=lambda w: (w.real, w.imag))))
+                    for var, zs in runs)
+        if key not in memo:
+            phis = [moment((run,)) for run in runs]
+            others = 0.0 + 0.0j
+            for mask in range((1 << len(runs)) - 1):  # every proper subset S
+                coeff, kept = 1.0 + 0.0j, ()
+                for j, (var, zs) in enumerate(runs):
+                    if mask >> j & 1:
+                        kept = append(kept, var, zs)
+                    else:
+                        coeff *= -phis[j]
+                others += coeff * moment(kept)
+            memo[key] = -others
+        return memo[key]
+
+    runs = ()
+    for z, var in letters:
+        runs = append(runs, var, (complex(z),))
+    return moment(runs)
+
+
 # ---------------------------------------------------------------------------
 # golden artifacts
 

@@ -1,10 +1,13 @@
+import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import haar_free_moment
+from conftest import haar_free_moment, inclusion_exclusion_free_moment, stream
 from ovfree import measures as ms
 from ovfree import moments as mo
 from ovfree import ovdist as ov
@@ -197,39 +200,147 @@ def test_free_mode_matches_the_definition_of_freeness(law_x, law_y, points):
 
 
 def test_free_mode_evaluates_each_block_once(monkeypatch):
-    # once the centered products are memoized, a word costs one phi per run
-    monkeypatch.setattr(mo, "_FREE_MEMO", {})
-    monkeypatch.setattr(mo, "_free_memo_entries", 0)
+    # a first evaluation takes phi of each distinct block, merged blocks
+    # included, at most once; a repeated word takes none
     c1, c2 = ms.Cauchy(0.3, 0.8), ms.Cauchy(-0.5, 1.2)
     word = mo.ResolventWord(((2j, 0), (1 + 1.5j, 1), (1.5j, 0), (0.5 + 2j, 1),
                              (-1 + 1j, 0), (-0.3 + 1j, 1)), (c1, c2), "free")
-    first = mo.mixed_moment(word)
-    single_var = mo.single_var_moment
+    mo._free_word_cached.cache_clear()
+    single_var = mo._single_var_cached
     calls = []
 
     def counting(law, zs):
-        calls.append(tuple(zs))
+        calls.append((law, zs))
         return single_var(law, zs)
 
-    monkeypatch.setattr(mo, "single_var_moment", counting)
+    monkeypatch.setattr(mo, "_single_var_cached", counting)
+    first = mo.mixed_moment(word)
+    assert len(calls) == len(set(calls))
+    assert any(len(zs) > 1 for _, zs in calls)  # a merged block was evaluated
+    calls.clear()
     assert mo.mixed_moment(word) == first
-    assert len(calls) == 6
+    assert calls == []
 
 
-def test_free_memo_is_bounded_by_entries(monkeypatch):
-    monkeypatch.setattr(mo, "_FREE_MEMO", {})
-    monkeypatch.setattr(mo, "_free_memo_entries", 0)
-    monkeypatch.setattr(mo, "_FREE_MEMO_CAP", 4)
-    c1, c2 = ms.Cauchy(0.3, 0.8), ms.Cauchy(-0.5, 1.2)
-    long_word = mo.ResolventWord(
-        ((2j, 0), (1 + 1.5j, 1), (2j, 0), (-0.4 + 1j, 1), (1.5j, 0)), (c1, c2), "free")
-    first = mo.mixed_moment(long_word)
-    assert mo._free_memo_entries == len(mo._FREE_MEMO[(c1, c2)]) > 4
-    # the next call starts past the cap, so it clears the memo first
-    mo.mixed_moment(mo.ResolventWord(((2j, 0), (3j, 1)), (c2, c1), "free"))
-    assert list(mo._FREE_MEMO) == [(c2, c1)]
-    assert mo._free_memo_entries == len(mo._FREE_MEMO[(c2, c1)])
-    assert mo.mixed_moment(long_word) == first
+def _module_sizes():
+    sizes = {}
+    for name, obj in vars(mo).items():
+        if isinstance(obj, (dict, list, set)):
+            sizes[name] = len(obj)
+        elif hasattr(obj, "cache_info"):
+            sizes[name] = obj.cache_info().currsize
+    return sizes
+
+
+def test_free_memo_is_bounded_by_entries():
+    # every cache of the module is bounded, and a Neumann call keeps no state
+    # memo once it returns; only the bounded one-variable cache may grow
+    caches = [obj for obj in vars(mo).values() if hasattr(obj, "cache_info")]
+    assert mo._free_word_cached in caches
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    c1, c2 = ms.Cauchy(0.3, 0.8), ms.Arcsine(1.3)
+    B = np.array([[2j, 0.1, 0.05, 0.1], [0.1, 2.5j, 0.08, 0.02],
+                  [0.05, 0.08, -3j, 0.1], [0.03, 0.1, 0.02, 1.7j]])
+    before = _module_sizes()
+    mo.matrix_G_via_neumann(B, [c1, c2], "free", 5, path_budget=10 ** 4)
+    after = _module_sizes()
+    assert after.keys() == before.keys()
+    grown = {name for name in before if after[name] > before[name]}
+    assert grown <= {"_single_var_cached"}
+
+
+FREE_ORACLE_LAWS = (ms.Cauchy(0.3, 0.7), ms.Semicircle(1.0), ms.Arcsine(1.5),
+                    ms.bernoulli(1.2, 0.1))
+FREE_ORACLE_GRID = [pytest.param(n_vars, length, rotation,
+                                 id=f"{n_vars}vars-{length}letters-{rotation}")
+                    for n_vars in (2, 3) for length in range(2, 11)
+                    for rotation in range(len(FREE_ORACLE_LAWS))]
+
+
+def _assert_matches_oracle(letters, laws):
+    value = mo.mixed_moment(mo.ResolventWord(letters, laws, "free"))
+    expected = inclusion_exclusion_free_moment(letters, laws)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("n_vars, length, rotation", FREE_ORACLE_GRID)
+def test_free_mode_matches_inclusion_exclusion(n_vars, length, rotation):
+    # letters in both half-planes, repeated variables allowed, so runs merge
+    gen = stream(1000 + 10 * n_vars + length)
+    laws = tuple(FREE_ORACLE_LAWS[(rotation + k) % len(FREE_ORACLE_LAWS)]
+                 for k in range(n_vars))
+    letters = tuple((complex(gen.uniform(-1, 1), gen.choice([-1, 1]) * gen.uniform(0.6, 1.6)),
+                     int(gen.integers(0, n_vars))) for _ in range(length))
+    _assert_matches_oracle(letters, laws)
+
+
+def test_free_mode_three_distinct_neighbours_match_inclusion_exclusion():
+    # x y z x y: R_2 after the centered x-then-y prefix is z, a third
+    # variable, which no two-variable word reaches
+    x, y, z = ms.Semicircle(1.0), ms.Cauchy(0.2, 0.6), ms.bernoulli(0.9, 0.0)
+    letters = ((0.3 + 1.2j, 0), (-0.5 - 0.9j, 1), (0.1 + 0.7j, 2),
+               (0.6 - 1.1j, 0), (-0.2 + 1.4j, 1))
+    _assert_matches_oracle(letters, (x, y, z))
+    _assert_matches_oracle(letters[:3], (x, y, z))
+
+
+def test_free_caches_give_bitwise_equal_values_across_threads():
+    gen = stream(77)
+    laws = (ms.Cauchy(0.3, 0.7), ms.bernoulli(1.2, 0.1), ms.Cauchy(-0.2, 1.1))
+    words = []
+    for _ in range(50):
+        length = int(gen.integers(2, 9))
+        letters = tuple((complex(gen.uniform(-1, 1), gen.uniform(0.6, 1.6)),
+                         int(gen.integers(0, 3))) for _ in range(length))
+        words.append(mo.ResolventWord(letters, laws, "free"))
+
+    def bits(value):
+        return value.real.hex(), value.imag.hex()
+
+    B = np.array([[2j, 0.1, 0.05, 0.1], [0.1, 2.5j, 0.08, 0.02],
+                  [0.05, 0.08, 3j, 0.1], [0.03, 0.1, 0.02, 1.7j]])
+    pairs = [(ms.Cauchy(0.3, 0.8), ms.Cauchy(-0.5, 1.2)),
+             (ms.Semicircle(1.0), ms.bernoulli(1.2, 0.1))]
+
+    def neumann(law_pair):
+        return mo.matrix_G_via_neumann(B, law_pair, "free", 4, path_budget=10 ** 4).estimate
+
+    mo._free_word_cached.cache_clear()
+    serial = [bits(mo.mixed_moment(word)) for word in words]
+    expected = [neumann(pair) for pair in pairs]
+    mo._free_word_cached.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the recursion
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = [bits(v) for v in pool.map(mo.mixed_moment, words, timeout=120)]
+            estimates = list(pool.map(neumann, pairs * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    for k, estimate in enumerate(estimates):
+        assert estimate.tobytes() == expected[k % 2].tobytes()
+
+
+def test_neumann_free_paths_match_word_by_word_moments():
+    # the call-scoped memo gives the value mixed_moment gives each path word
+    laws = (ms.Semicircle(1.0), ms.Arcsine(1.3))
+    B = np.array([[2j, 0.1, 0.05, 0.1], [0.1, -2.5j, 0.08, 0.02],
+                  [0.05, 0.08, 3j, 0.1], [0.03, 0.1, 0.02, 1.7j]])
+    order = 3
+    res = mo.matrix_G_via_neumann(B, laws, "free", order, path_budget=10 ** 4)
+    diag = np.diagonal(B)
+    off = B - np.diag(diag)
+    expected = np.zeros((4, 4), dtype=complex)
+    for p in range(order + 1):
+        for path in itertools.product(range(4), repeat=p + 1):
+            if any(u == v for u, v in zip(path, path[1:])):
+                continue
+            coeff = np.prod([off[u, v] for u, v in zip(path, path[1:])])
+            letters = tuple((diag[s], s % 2) for s in path)
+            expected[path[0], path[-1]] += \
+                (-1) ** p * coeff * mo.mixed_moment(mo.ResolventWord(letters, laws, "free"))
+    np.testing.assert_allclose(res.estimate, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_boolean_splits_at_index_changes():
