@@ -17,10 +17,11 @@ independence mode only decides *how* letters regroup:
                   R_1 = R_1° + phi(R_1) and, where C_j and R_2 share a
                   variable, C_j° R_2 = C_j R_2 - phi(C_j) R_2; the word is
                   N((); runs).  This holds for every law and for letters in
-                  either half-plane.  A single word's value is cached; its
-                  states are memoized only while it is evaluated, and one
-                  :func:`matrix_G_via_neumann` call shares one state memo
-                  over all its words.
+                  either half-plane.  A word has at most 16 alternating
+                  runs, since the states double with each run.  A single
+                  word's value is cached; its states are memoized only
+                  while it is evaluated, and one :func:`matrix_G_via_neumann`
+                  call shares one state memo over all its words.
 
 For Cauchy-family laws with all letters in one half-plane the four answers
 collapse to the same product over letters, which is what makes the
@@ -42,6 +43,11 @@ from .errors import (DimensionMismatch, FreeModeUnsupportedLaw, NotDominant,
                      RealAxisPoint, UnsupportedPoint)
 
 MODES = ("equal", "classical", "free", "boolean")
+
+# A free word of n alternating runs visits up to 2^n - 1 states: 16 runs take
+# a fraction of a second and tens of MB, and every two more runs cost four
+# times that.
+_MAX_FREE_RUNS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +121,11 @@ def _runs(letters) -> list[tuple[int, tuple]]:
 
 
 def mixed_moment(word: ResolventWord) -> complex:
-    """Evaluate the word in the trace state under its independence mode."""
+    """Evaluate the word in the trace state under its independence mode.
+
+    A free word of more than ``_MAX_FREE_RUNS`` alternating runs raises
+    :class:`UnsupportedPoint` before any state is built.
+    """
     letters = word.letters
     laws = word.laws
     if word.mode == "equal":
@@ -138,7 +148,11 @@ def mixed_moment(word: ResolventWord) -> complex:
         for idx, zs in _runs(letters):
             out *= single_var_moment(laws[idx], zs)
         return out
-    return _free_word_cached(laws, tuple((idx, _sorted_zs(zs)) for idx, zs in _runs(letters)))
+    runs = _runs(letters)
+    if len(runs) > _MAX_FREE_RUNS:
+        raise UnsupportedPoint(f"a free word of {len(runs)} alternating runs is past "
+                               f"the cap of {_MAX_FREE_RUNS} runs")
+    return _free_word_cached(laws, tuple((idx, _sorted_zs(zs)) for idx, zs in runs))
 
 
 @lru_cache(maxsize=1 << 16)

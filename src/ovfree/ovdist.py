@@ -7,12 +7,18 @@ Each variant knows how to evaluate the matrix Cauchy transform
 at matrix arguments whose spectrum avoids the real axis.  Arguments may be
 amplified: a distribution of base dimension n accepts any (n k) x (n k)
 argument and treats the operator as 1_k (x) a, so direct sums of certified
-points stay inside the calculus.  G is thus a matricial function, and every
-variant's ``eval_dG`` reads the derivative off its own ``eval_G``:
+points stay inside the calculus.  A scalar law's derivative is one
+expectation over a whole stack of directions,
 
-    G([[b, h], [0, b]]) = [[G(b), dG_b[h]], [0, G(b)]],
+    dG_b[h] = -E[R h R],    R = (b - x)^{-1},
 
-so a derivative at b needs edge(b) <= ``linalg.MAX_DIM // 2``.
+with one inverse per quadrature node shared by every direction, so its
+``jacobian`` costs one quadrature.  The other variants read a derivative off
+their own ``eval_G``, since G is a matricial function:
+
+    G([[b, h], [0, b]]) = [[G(b), dG_b[h]], [0, G(b)]].
+
+Either way a derivative at b needs edge(b) <= ``linalg.MAX_DIM // 2``.
 
 Variants that admit a faithful random-matrix realization also expose
 ``sample``; :func:`mc_estimate_G` turns samples into a G estimate with a
@@ -44,11 +50,18 @@ class OVDistribution:
         raise NotImplementedError
 
     def eval_dG(self, b, h) -> np.ndarray:
-        """Directional derivative dG_b[h], the corner of G([[b, h], [0, b]]).
+        """Directional derivative dG_b[h].
 
         Raises :class:`DimensionMismatch` when edge(b) > ``linalg.MAX_DIM // 2``.
         """
         raise NotImplementedError
+
+    def jacobian(self, b, directions) -> np.ndarray:
+        """(dim^2, k) matrix whose columns are dG_b along the k ``directions``.
+
+        One :meth:`eval_dG` call per direction, each column flattened row-major.
+        """
+        return np.array([self.eval_dG(b, h).reshape(-1) for h in directions]).T
 
     def norm_bound(self) -> float:
         """Upper bound on the operator norm (math.inf when unbounded)."""
@@ -95,7 +108,37 @@ class ScalarEmbedded(OVDistribution):
         return self._integrate(b)
 
     def eval_dG(self, b, h) -> np.ndarray:
-        return _corner_derivative(self, b, h)
+        """dG_b[h] = -E[R h R], R = (b - x)^{-1}, for one direction or a (k, m, m) stack.
+
+        One expectation serves the whole stack, with one m x m inverse per
+        node; a Cauchy law at b in an open half-plane gives -G h G with G
+        its closed-form resolvent.  Returns the shape of ``h``.
+        """
+        b = self._check_arg(b)
+        h = np.asarray(h, dtype=np.complex128)
+        if h.ndim not in (2, 3) or h.shape[-2:] != b.shape:
+            raise DimensionMismatch("direction must match the argument's shape")
+        if not np.isfinite(h).all():
+            raise ValueError("direction entries must be finite")
+        _check_derivative_dim(b.shape[0])
+        res = _cauchy_resolvent(self.law, b)
+        if res is not None:
+            return -res @ h @ res
+        _spectrum_off_axis(b)
+        eye = np.eye(b.shape[0])
+
+        def minus_rhr(ts):
+            r = np.linalg.inv(b[None] - ts[:, None, None] * eye[None])
+            if h.ndim == 3:
+                r = r[:, None]
+            return -(r @ h @ r)
+
+        return measures.expect(self.law, minus_rhr)
+
+    def jacobian(self, b, directions) -> np.ndarray:
+        """One :meth:`eval_dG` call on the stacked directions."""
+        stack = self.eval_dG(b, directions)
+        return stack.reshape(len(stack), -1).T
 
     def sample(self, big_dim: int, gen) -> np.ndarray:
         return np.kron(np.eye(self.base_dim),
@@ -121,6 +164,12 @@ def _cauchy_resolvent(law, b: np.ndarray):
     return None
 
 
+def _check_derivative_dim(m: int):
+    if 2 * m > linalg.MAX_DIM:
+        raise DimensionMismatch(f"eval_dG at dim {m} is past the supported "
+                                f"edge {linalg.MAX_DIM // 2}")
+
+
 def _corner_derivative(dist: OVDistribution, b, h) -> np.ndarray:
     """dG_b[h] as the top-right block of dist.eval_G([[b, s h], [0, b]]) / s.
 
@@ -134,9 +183,7 @@ def _corner_derivative(dist: OVDistribution, b, h) -> np.ndarray:
     if h.shape != b.shape:
         raise DimensionMismatch("direction must match the argument's shape")
     m = b.shape[0]
-    if 2 * m > linalg.MAX_DIM:
-        raise DimensionMismatch(f"eval_dG at dim {m} needs a {2 * m}-dim block argument; "
-                                f"dims up to {linalg.MAX_DIM // 2} are supported")
+    _check_derivative_dim(m)
     margin = max(linalg.half_plane_margin(b), linalg.half_plane_margin(-b))
     norm_h = np.linalg.norm(h)
     scale = 1.0

@@ -124,30 +124,31 @@ def k_map(dist: OVDistribution, w) -> np.ndarray:
     return dist.eval_G(linalg.inverse(w))
 
 
-def _on_matrix_units(derivative, dim: int) -> np.ndarray:
-    """(dim^2, dim^2) matrix whose columns are ``derivative`` at each matrix unit."""
-    cols = []
-    for u in range(dim):
-        for v in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[u, v] = 1.0
-            cols.append(derivative(unit).reshape(-1))
-    return np.array(cols).T
+def _matrix_units(dim: int) -> np.ndarray:
+    """The dim^2 matrix units as a (dim^2, dim, dim) stack, row-major in (u, v)."""
+    return np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
 
 
 def k_jacobian(dist: OVDistribution, w) -> np.ndarray:
     """Complex Jacobian of the chart map on matrix units, (dim^2, dim^2).
 
-    The column of the unit h is dK_w[h] = dG_{w^{-1}}[-w^{-1} h w^{-1}].
+    The column of the unit h is dK_w[h] = dG_{w^{-1}}[-w^{-1} h w^{-1}];
+    ``dist.jacobian`` takes all dim^2 directions in one call, which a scalar
+    law answers with one expectation.
     """
     winv = linalg.inverse(w)
-    return _on_matrix_units(lambda h: dist.eval_dG(winv, -winv @ h @ winv), winv.shape[0])
+    return dist.jacobian(winv, np.array([-winv @ h @ winv
+                                         for h in _matrix_units(winv.shape[0])]))
 
 
 def g_jacobian(dist: OVDistribution, b) -> np.ndarray:
-    """Complex Jacobian of G itself on matrix units, (dim^2, dim^2)."""
+    """Complex Jacobian of G itself on matrix units, (dim^2, dim^2).
+
+    ``dist.jacobian`` takes the dim^2 units in one call, which a scalar law
+    answers with one expectation.
+    """
     b = linalg.as_matrix(b)
-    return _on_matrix_units(lambda h: dist.eval_dG(b, h), b.shape[0])
+    return dist.jacobian(b, _matrix_units(b.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -476,6 +476,15 @@ class TestFlagForms:
         assert complex(*result["value"]) == pytest.approx(7 / 60, abs=1e-14)
         assert result["reference"] is None
 
+    def test_moments_free_word_past_the_run_cap_exits_3(self, capsys):
+        word = "[" + ",".join(f"({1 + j}i,{1 + j % 2})" for j in range(17)) + "]"
+        rc = cli.main(["moments", "--word", word, "--mode", "free"])
+        assert rc == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "UnsupportedPoint"
+        assert "17 alternating runs" in error["message"]
+        assert "cap of 16" in error["message"]
+
     def test_moments_free_mode_takes_any_law(self, capsys):
         rc = cli.main(["moments", "--word", "[(2i,1),(3i,2),(2i,1)]",
                        "--mode", "free", "--law", "semicircle"])

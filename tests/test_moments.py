@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -220,6 +221,27 @@ def test_free_mode_evaluates_each_block_once(monkeypatch):
     calls.clear()
     assert mo.mixed_moment(word) == first
     assert calls == []
+
+
+def _alternating_word(runs):
+    letters = tuple((complex(0.1 * j, 1.0 + 0.05 * j), j % 2) for j in range(runs))
+    return mo.ResolventWord(letters, (ms.Cauchy(0.3, 0.8), ms.Cauchy(-0.5, 1.2)), "free")
+
+
+def test_free_word_past_the_run_cap_is_refused_at_once():
+    word = _alternating_word(17)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedPoint, match="17 alternating runs .* cap of 16 runs"):
+        mo.mixed_moment(word)
+    assert time.perf_counter() - start <= 0.1
+
+
+def test_free_word_at_the_run_cap_evaluates():
+    # the same letters in one half-plane make every mode the letterwise product
+    word = _alternating_word(16)
+    expected = mo.letterwise_cauchy_product(word.letters, word.laws)
+    got = mo.mixed_moment(word)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
 def _module_sizes():

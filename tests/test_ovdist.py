@@ -323,6 +323,81 @@ def test_derivative_dim_limit(dist):
 
 
 # ---------------------------------------------------------------------------
+# a scalar law's stacked derivative against the corner of the block argument
+
+CORNER_LAWS = {
+    "cauchy": ms.Cauchy(0.2, 0.7),
+    "semicircle": ms.Semicircle(1.0),
+    "arcsine": ms.Arcsine(1.5),
+    "bernoulli": ms.bernoulli(0.8, 0.1),
+    "truncated-cauchy": ms.TruncatedMeasure(base=ms.Cauchy(0.0, 1.0), cutoff=3.0),
+}
+
+CORNER_POINTS = {
+    "omega-dim2": tr.base_point(0.5, 1) + np.array([[0.1, 0.05j], [-0.02, 0.2]]),
+    "omega-dim4": np.linalg.inv(tr.base_point(2.0, 2)
+                                + 0.1 * np.array([[0.3, 1j, 0.0, 0.2],
+                                                  [0.1, -0.4, 0.5j, 0.0],
+                                                  [0.0, 0.2, 0.1, -0.3j],
+                                                  [0.6j, 0.0, 0.1, 0.2]])),
+    "upper-non-diagonal": np.array([[1.5j, 0.4], [-0.3j, 0.2 + 2j]]),
+    "lower": np.array([[-2j, 0.1], [0.2, 0.5 - 1.2j]]),
+}
+
+
+def _directions(m, count, seed):
+    gen = rngmod.stream(seed, m)
+    return gen.standard_normal((count, m, m)) + 1j * gen.standard_normal((count, m, m))
+
+
+@pytest.mark.parametrize("b", CORNER_POINTS.values(), ids=CORNER_POINTS.keys())
+@pytest.mark.parametrize("law", CORNER_LAWS.values(), ids=CORNER_LAWS.keys())
+def test_stacked_derivative_is_the_corner_of_the_block_argument(law, b):
+    se = ov.ScalarEmbedded(law)
+    m = b.shape[0]
+    stack = _directions(m, m * m, 11)
+    got = se.eval_dG(b, stack)
+    assert got.shape == stack.shape
+    zero = np.zeros_like(b)
+    for h, dg in zip(stack, got):
+        corner = se.eval_G(np.block([[b, h], [zero, b]]))[:m, m:]
+        assert np.abs(dg - corner).max() <= 1e-14 * max(1.0, np.abs(corner).max())
+        one = se.eval_dG(b, h)
+        assert one.shape == (m, m)
+        assert np.abs(dg - one).max() <= 1e-14 * max(1.0, np.abs(one).max())
+
+
+@pytest.mark.parametrize("law", CORNER_LAWS.values(), ids=CORNER_LAWS.keys())
+def test_scalar_jacobian_takes_one_quadrature_per_segment(law, monkeypatch):
+    integrals = []
+    inner = ms.adaptive_integral
+
+    def counting(*args, **kwargs):
+        integrals.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ms, "adaptive_integral", counting)
+    se = ov.ScalarEmbedded(law)
+    b = CORNER_POINTS["omega-dim4"]
+    jac = tr.g_jacobian(se, b)
+    assert len(integrals) == len(law.segments())
+    monkeypatch.setattr(ms, "adaptive_integral", inner)
+    columns = [se.eval_dG(b, h).reshape(-1) for h in np.eye(16).reshape(16, 4, 4)]
+    assert np.abs(jac - np.array(columns).T).max() <= 1e-14 * max(1.0, np.abs(jac).max())
+
+
+@pytest.mark.parametrize("dist, b", [
+    (ov.DiracB(np.array([[0.3, 0.1j], [-0.1j, -0.2]])), CORNER_POINTS["omega-dim4"]),
+    (ov.OVSemicircular((np.array([[0.2, 0.05], [0.05, 0.1]]),)),
+     CORNER_POINTS["omega-dim4"]),
+], ids=["dirac", "ov-semicircular"])
+def test_default_jacobian_is_column_by_column(dist, b):
+    stack = _directions(4, 16, 12)
+    columns = np.array([dist.eval_dG(b, h).reshape(-1) for h in stack]).T
+    assert np.array_equal(dist.jacobian(b, stack), columns)
+
+
+# ---------------------------------------------------------------------------
 # sums of free summands
 
 

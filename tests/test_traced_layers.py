@@ -2,8 +2,9 @@
 
 ``benchmark/tracing.py`` fails a traced run when a layer it lists in
 ``REQUIRED_CALLS`` records no calls.  This runs the same check on one
-moments-short cycle, one convolve-cauchy item and two certify-ov items (a
-DiracB certify and an OV-semicircular convolve with Monte Carlo), so a
+moments-short cycle, two convolve-cauchy items (dim 2, and dim 4 with its
+16-direction Jacobians) and two certify-ov items (a DiracB certify and an
+OV-semicircular convolve with Monte Carlo), so a
 refactor that moves work out of a traced layer fails here and not only in a
 traced benchmark run.
 """
@@ -30,8 +31,9 @@ SEED = 3
 @pytest.mark.parametrize("workload, indices", [
     ("moments-short", range(workloads.cycle_length("moments-short"))),
     ("convolve-cauchy", [1]),
+    ("convolve-cauchy", [5]),
     ("certify-ov", [0, 5]),
-], ids=["moments-short", "convolve-cauchy", "certify-ov"])
+], ids=["moments-short", "convolve-cauchy", "convolve-cauchy-dim4", "certify-ov"])
 def test_traced_run_calls_every_required_layer(workload, indices):
     tracer = tracing.Tracer()
     tracer.install("ovfree")
