@@ -293,7 +293,7 @@ def _cmd_convolve(params, seed):
 
     def solve(item):
         pid, w_star = item
-        b = task.r_sum(w_star) + linalg.inverse(w_star)
+        b = task.sum_argument(w_star)
         w = convolution.eval_G_of_sum(task, b)
         budget = 0.0
         if mc is not None:
@@ -478,16 +478,13 @@ def run_config(config: dict) -> int:
     except ValueError as exc:
         return _error_json(2, "SchemaError", str(exc))
 
-
     meta = {"config_sha256": _config_hash(config), "version": __version__,
             "command": config["command"]}
     try:
         result = _RUNNERS[config["command"]](config["params"], config["seed"])
     except _SchemaViolation as exc:
         return _error_json(2, "SchemaError", str(exc))
-    except OvfreeError as exc:
-        return _error_json(3, type(exc).__name__, str(exc))
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except (OvfreeError, ValueError, np.linalg.LinAlgError) as exc:
         return _error_json(3, type(exc).__name__, str(exc))
 
     if result[0] == "json":
@@ -552,13 +549,14 @@ def _handle_killer(args) -> int:
 def _read_artifact_meta(path: str) -> dict:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         head = fh.read(4096)
-    if head.startswith("# ovfree-meta "):
-        fields = {}
-        for token in head.splitlines()[0][len("# ovfree-meta "):].split():
-            key, _, value = token.partition("=")
-            fields[key] = value
-        return fields
-    meta = json.loads(open(path, encoding="utf-8").read()).get("meta")
+        if head.startswith("# ovfree-meta "):
+            fields = {}
+            for token in head.splitlines()[0][len("# ovfree-meta "):].split():
+                key, _, value = token.partition("=")
+                fields[key] = value
+            return fields
+        doc = json.loads(head + fh.read())
+    meta = doc.get("meta") if isinstance(doc, dict) else None
     if not isinstance(meta, dict):
         raise ValueError("artifact carries no meta object")
     return meta

@@ -101,6 +101,10 @@ class ConvolutionTask:
         by = invert_G(self.y, self.ball_y, w)
         return bx + by - 2.0 * winv
 
+    def sum_argument(self, w) -> np.ndarray:
+        """b = R_X(w) + R_Y(w) + w^{-1}, the argument at which G_{X+Y}(b) = w."""
+        return self.r_sum(w) + linalg.inverse(w)
+
     def sample_targets(self, count: int, seed: int = 0) -> list:
         """Deterministic sample of points in the shared image ball."""
         dim = self.overlap_center.shape[0]
@@ -189,7 +193,7 @@ def verify_additivity(task: ConvolutionTask, sum_dist: OVDistribution,
     """
     deviations = []
     for w in task.sample_targets(count, seed=seed):
-        b_sum = task.r_sum(w) + linalg.inverse(w)
+        b_sum = task.sum_argument(w)
         value = sum_dist.eval_G(b_sum)
         deviations.append(float(np.linalg.norm(value - w)))
     return AdditivityReport(tuple(deviations), _ADDITIVITY_TOL)
@@ -238,7 +242,7 @@ def verify_additivity_mc(task: ConvolutionTask, sum_model: OVDistribution,
     """
     deviations, stderrs = [], []
     for i, w in enumerate(task.sample_targets(count, seed=seed)):
-        b_sum = task.r_sum(w) + linalg.inverse(w)
+        b_sum = task.sum_argument(w)
         est = sampled_G_of_sum(task, sum_model, b_sum, big_dim=big_dim,
                                trials=trials, seed=seed + 7 * i + 1)
         deviations.append(float(np.abs(est.mean - w).max()))

@@ -6,10 +6,12 @@ takes an expectation against it: the atom sum, then one adaptive integral per
 segment.  Heavy tails are tamed by substitution: a Cauchy density becomes a
 *uniform* density in the angle t = location + scale*tan(theta),
 semicircle/arcsine densities become trigonometric polynomials in
-t = edge*sin(theta).  Finite laws (point masses, Bernoulli laws, frozen
-quadrature rules) are all :class:`Atomic`.  Only Cauchy keeps a closed form,
-the residue at its virtual pole; every other transform goes through
-:func:`expect`.
+t = edge*sin(theta).  Each segment carries the closed-form inverse of that
+map, so a truncation clips its window exactly.  Finite laws (point masses,
+Bernoulli laws, frozen quadrature rules) are all :class:`Atomic`.  A law
+with a virtual pole (:meth:`ScalarMeasure.pole`, today only Cauchy) has its
+transforms in closed form, the residue at that pole; every other transform
+goes through :func:`expect`.
 """
 
 from __future__ import annotations
@@ -94,11 +96,14 @@ class Segment:
 
     ``t_of`` maps the angle variable to the support, ``weight`` is the density
     with respect to d(theta) on (theta_lo, theta_hi); both are vectorized.
+    ``theta_of`` is the closed-form inverse of ``t_of``, float to float, with
+    points past the support's edge sent to the nearest end of the angle range.
     """
 
     theta_lo: float
     theta_hi: float
     t_of: Callable[[np.ndarray], np.ndarray]
+    theta_of: Callable[[float], float]
     weight: Callable[[np.ndarray], np.ndarray]
 
 
@@ -135,8 +140,11 @@ class ScalarMeasure:
     def quantile(self, p: float) -> float:
         raise NotImplementedError
 
-    def closed_form_g_derivative(self, z: complex, order: int):
-        """Closed-form g^(order)(z) (order 0 is g), or None when :func:`expect` is the path."""
+    def pole(self, sign: float):
+        """Virtual pole on the half-plane sign(Im z) = sign.
+
+        None when the law has none and :func:`expect` is the path.
+        """
         return None
 
     def support_bound(self) -> float:
@@ -161,6 +169,7 @@ class Cauchy(ScalarMeasure):
         s, g = self.location, self.scale
         return (Segment(-math.pi / 2, math.pi / 2,
                         lambda th: s + g * np.tan(th),
+                        lambda t: math.atan((t - s) / g),
                         lambda th: np.full_like(th, 1.0 / math.pi)),)
 
     def cdf(self, x):
@@ -172,11 +181,6 @@ class Cauchy(ScalarMeasure):
     def pole(self, sign: float) -> complex:
         """Virtual pole: g(z) = 1/(z - pole) on the half-plane sign(Im z) = sign."""
         return self.location - 1j * self.scale * sign
-
-    def closed_form_g_derivative(self, z, order):
-        # The density pole in the opposite half-plane is the only residue.
-        shift = 1j * self.scale if z.imag > 0 else -1j * self.scale
-        return (-1.0) ** order * math.factorial(order) * (z - self.location + shift) ** (-(order + 1))
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,7 @@ class Semicircle(ScalarMeasure):
         e = self.edge
         return (Segment(-math.pi / 2, math.pi / 2,
                         lambda th: e * np.sin(th),
+                        lambda t: math.asin(min(1.0, max(-1.0, t / e))),
                         lambda th: (2.0 / math.pi) * np.cos(th) ** 2),)
 
     def cdf(self, x):
@@ -274,6 +279,7 @@ class Arcsine(ScalarMeasure):
         r = self.radius
         return (Segment(-math.pi / 2, math.pi / 2,
                         lambda th: r * np.sin(th),
+                        lambda t: math.asin(min(1.0, max(-1.0, t / r))),
                         lambda th: np.full_like(th, 1.0 / math.pi)),)
 
     def cdf(self, x):
@@ -325,9 +331,10 @@ class TruncatedMeasure(ScalarMeasure):
         out = []
         k = self.cutoff
         for seg in self.base.segments():
-            lo, hi = _clip_segment(seg, -k, k)
-            if lo is not None and hi > lo:
-                out.append(Segment(lo, hi, seg.t_of, seg.weight))
+            lo = max(seg.theta_lo, seg.theta_of(-k))
+            hi = min(seg.theta_hi, seg.theta_of(k))
+            if hi > lo:
+                out.append(Segment(lo, hi, seg.t_of, seg.theta_of, seg.weight))
         return tuple(out)
 
     def cdf(self, x):
@@ -342,35 +349,6 @@ class TruncatedMeasure(ScalarMeasure):
 
     def support_bound(self):
         return self.cutoff
-
-
-def _clip_segment(seg: Segment, lo_t: float, hi_t: float):
-    """Intersect a monotone-parametrized segment with a support window."""
-    grid = np.linspace(seg.theta_lo, seg.theta_hi, 513)
-    tvals = seg.t_of(grid)
-    inside = (tvals >= lo_t) & (tvals <= hi_t)
-    if not inside.any():
-        return None, None
-    idx = np.nonzero(inside)[0]
-    th_lo, th_hi = grid[idx[0]], grid[idx[-1]]
-    # refine endpoints by bisection on the monotone map
-    th_lo = _invert_monotone(seg.t_of, grid[max(idx[0] - 1, 0)], th_lo, lo_t) \
-        if idx[0] > 0 else seg.theta_lo
-    th_hi = _invert_monotone(seg.t_of, th_hi, grid[min(idx[-1] + 1, len(grid) - 1)], hi_t) \
-        if idx[-1] < len(grid) - 1 else seg.theta_hi
-    return float(th_lo), float(th_hi)
-
-
-def _invert_monotone(fn, a, b, target, iters=200):
-    fa = float(fn(np.array([a]))[0]) - target
-    for _ in range(iters):
-        mid = (a + b) / 2.0
-        fm = float(fn(np.array([mid]))[0]) - target
-        if fa * fm <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return (a + b) / 2.0
 
 
 def _cdf_bisect(cdf, lo, hi, p, iters=200):
@@ -411,18 +389,30 @@ def expect(law: ScalarMeasure, fn: Callable[[np.ndarray], np.ndarray]):
     return total
 
 
+def _pole_derivative(measure: ScalarMeasure, z: complex, order: int):
+    """(-1)^m m! (z - pole)^-(m+1) at the law's virtual pole for z's half-plane.
+
+    The residue at that pole is the whole transform there; None when the law
+    has no pole and :func:`expect` is the path.
+    """
+    pole = measure.pole(1.0 if z.imag > 0 else -1.0)
+    if pole is None:
+        return None
+    return complex((-1.0) ** order * math.factorial(order) * (z - pole) ** (-(order + 1)))
+
+
 def g_scalar(measure: ScalarMeasure, z: complex) -> complex:
     """Cauchy transform g(z) = integral of 1/(z - t) d(mu).
 
-    Closed form for Cauchy, :func:`expect` otherwise.  Undefined on the real
-    axis.
+    Closed form at a virtual pole, :func:`expect` otherwise.  Undefined on
+    the real axis.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise RealAxisPoint("cauchy transform evaluated on the real axis")
-    cf = measure.closed_form_g_derivative(z, 0)
+    cf = _pole_derivative(measure, z, 0)
     if cf is not None:
-        return complex(cf)
+        return cf
     return complex(expect(measure, lambda t: 1.0 / (z - t)))
 
 
@@ -435,9 +425,9 @@ def g_derivative(measure: ScalarMeasure, z: complex, order: int) -> complex:
     z = complex(z)
     if z.imag == 0.0:
         raise RealAxisPoint("derivative evaluated on the real axis")
-    cf = measure.closed_form_g_derivative(z, order)
+    cf = _pole_derivative(measure, z, order)
     if cf is not None:
-        return complex(cf)
+        return cf
     sign = (-1.0) ** order * math.factorial(order)
     return complex(sign * expect(measure, lambda t: (z - t) ** (-(order + 1))))
 

@@ -65,8 +65,7 @@ def single_var_moment(law: measures.ScalarMeasure, z_values: Sequence[complex]) 
     None of these subtracts nearly equal terms, so close points lose no
     accuracy.
     """
-    zs = tuple(sorted((complex(z) for z in z_values), key=lambda w: (w.real, w.imag)))
-    return _single_var_cached(law, zs)
+    return _single_var_cached(law, _sorted_zs(complex(z) for z in z_values))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -240,17 +239,19 @@ def _sorted_zs(zs):
 def letterwise_cauchy_product(letters, laws) -> complex | None:
     """prod_j 1/(z_j - pole_j) over the letters (z_j, var_j) of a Cauchy word.
 
-    Each pole is the law's pole in the letter's half-plane.  The product is
-    the word's moment in every mode only when all letters lie in one
-    half-plane, so ``None`` is returned otherwise, and for non-Cauchy laws.
+    Each pole is the law's virtual pole in the letter's half-plane.  The
+    product is the word's moment in every mode only when all letters lie in
+    one half-plane, so ``None`` is returned otherwise, and for laws without
+    a pole.
     """
-    if not all(isinstance(laws[idx], measures.Cauchy) for _, idx in letters):
-        return None
     if not (all(z.imag > 0 for z, _ in letters) or all(z.imag < 0 for z, _ in letters)):
         return None
     product = 1.0 + 0.0j
     for z, idx in letters:
-        product /= z - laws[idx].pole(1 if z.imag > 0 else -1)
+        pole = laws[idx].pole(1 if z.imag > 0 else -1)
+        if pole is None:
+            return None
+        product /= z - pole
     return product
 
 
@@ -269,7 +270,7 @@ def fbcs_check(z_values: Sequence[complex], indices: Sequence[int],
     The reference exists only when all letters lie in one half-plane;
     ``UnsupportedPoint`` is raised for a word that spans both.
     """
-    if not isinstance(law, measures.Cauchy):
+    if law.pole(1) is None:
         raise FreeModeUnsupportedLaw("the agreement statement is about Cauchy laws")
     zs = [complex(z) for z in z_values]
     idx = [int(i) for i in indices]
@@ -345,8 +346,9 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
     var_of = [p % len(laws) for p in range(m)]
     succ = [np.nonzero(off[u])[0] for u in range(m)]
 
-    all_cauchy = all(isinstance(law, measures.Cauchy) for law in laws)
     uniform_halfplane = np.all(diag.imag > 0) or np.all(diag.imag < 0)
+    sign = 1.0 if diag.imag[0] > 0 else -1.0
+    all_poles = uniform_halfplane and all(law.pole(sign) is not None for law in laws)
 
     adjacency = (off != 0).astype(float)
     path_tally = np.ones(m)  # adjacency^order @ 1, updated as we go
@@ -368,7 +370,7 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
             paths_so_far += count_this_order
             enumerated = order + 1
         else:
-            if not (all_cauchy and uniform_halfplane):
+            if not all_poles:
                 raise UnsupportedPoint(
                     "path budget exhausted and no letterwise product applies: "
                     "either raise path_budget or use Cauchy laws with a "

@@ -101,7 +101,7 @@ class ScalarEmbedded(OVDistribution):
 
     def eval_G(self, b) -> np.ndarray:
         b = self._check_arg(b)
-        res = _cauchy_resolvent(self.law, b)
+        res = _pole_resolvent(self.law, b)
         if res is not None:
             return res
         _spectrum_off_axis(b)
@@ -111,8 +111,8 @@ class ScalarEmbedded(OVDistribution):
         """dG_b[h] = -E[R h R], R = (b - x)^{-1}, for one direction or a (k, m, m) stack.
 
         One expectation serves the whole stack, with one m x m inverse per
-        node; a Cauchy law at b in an open half-plane gives -G h G with G
-        its closed-form resolvent.  Returns the shape of ``h``.
+        node; a law with a virtual pole, at b in an open half-plane, gives
+        -G h G with G its closed-form resolvent.  Returns the shape of ``h``.
         """
         b = self._check_arg(b)
         h = np.asarray(h, dtype=np.complex128)
@@ -121,7 +121,7 @@ class ScalarEmbedded(OVDistribution):
         if not np.isfinite(h).all():
             raise ValueError("direction entries must be finite")
         _check_derivative_dim(b.shape[0])
-        res = _cauchy_resolvent(self.law, b)
+        res = _pole_resolvent(self.law, b)
         if res is not None:
             return -res @ h @ res
         _spectrum_off_axis(b)
@@ -150,17 +150,16 @@ class ScalarEmbedded(OVDistribution):
             self.law, lambda ts: np.linalg.inv(b[None] - ts[:, None, None] * eye[None]))
 
 
-def _cauchy_resolvent(law, b: np.ndarray):
-    """(b - pole)^{-1} for a Cauchy law when b lies in an open half-plane.
+def _pole_resolvent(law, b: np.ndarray):
+    """(b - pole)^{-1} for a law with a virtual pole when b lies in an open half-plane.
 
     There G(b) is the resolvent at the virtual pole of that half-plane;
-    returns None for other laws and for arguments in neither half-plane.
+    returns None for laws without one and for arguments in neither half-plane.
     """
-    if not isinstance(law, measures.Cauchy):
-        return None
     for sign in (1.0, -1.0):
-        if linalg.half_plane_margin(sign * b) > 0:
-            return linalg.inverse(b - law.pole(sign) * np.eye(b.shape[0]))
+        pole = law.pole(sign)
+        if pole is not None and linalg.half_plane_margin(sign * b) > 0:
+            return linalg.inverse(b - pole * np.eye(b.shape[0]))
     return None
 
 

@@ -1,5 +1,6 @@
 """CLI driver: schemas, exit codes, artifacts, goldens, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -8,10 +9,12 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+import scipy.integrate
 from jsonschema.validators import validator_for
 
 import ovfree
@@ -90,6 +93,30 @@ class TestGoldenArtifacts:
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "HashMismatch"
+
+    def test_verify_closes_a_json_artifact(self, tmp_path, monkeypatch, capsys):
+        config = {"command": "g-eval", "seed": 0,
+                  "params": {"dist": {"kind": "scalar", "law": _CAUCHY},
+                             "b": {"dim": 1, "re": [[0.0]], "im": [[2.0]]}},
+                  "output": "g.json"}
+        assert _run(tmp_path, monkeypatch, config) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            rc = cli.main(["verify", "--config", _write_config(tmp_path, config),
+                           "--artifact", str(tmp_path / "g.json")])
+            gc.collect()
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "g-eval"
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_verify_rejects_a_json_artifact_that_is_not_an_object(
+            self, tmp_path, capsys):
+        artifact = tmp_path / "list.json"
+        artifact.write_text("[]")
+        rc = cli.main(["verify", "--config", str(DATA / "config_fbcs.json"),
+                       "--artifact", str(artifact)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "VerifyError"
 
     def test_json_artifacts_are_reproducible(self, tmp_path, monkeypatch):
         config = {"command": "certify", "seed": 0,
@@ -551,6 +578,36 @@ class TestArtifactContents:
         assert np.allclose(value, direct, atol=1e-12)
         assert doc["meta"]["config_sha256"] == cli._config_hash(config)
         assert doc["meta"]["command"] == "g-eval"
+
+    @pytest.mark.parametrize("base,density", [
+        ({"variant": "cauchy", "location": 100.0, "scale": 1.0},
+         lambda t: 1.0 / (math.pi * (1.0 + (t - 100.0) ** 2))),
+        ({"variant": "cauchy", "location": 5.0, "scale": 0.01},
+         lambda t: 1.0 / (0.01 * math.pi * (1.0 + ((t - 5.0) / 0.01) ** 2))),
+        ({"variant": "cauchy", "location": 0.0, "scale": 1.0},
+         lambda t: 1.0 / (math.pi * (1.0 + t * t))),
+        ({"variant": "semicircle", "variance": 1.0},
+         lambda t: math.sqrt(4.0 - t * t) / (2.0 * math.pi)),
+        ({"variant": "arcsine", "radius": 2.0},
+         lambda t: 1.0 / (math.pi * math.sqrt(4.0 - t * t))),
+    ], ids=["cauchy-100-1", "cauchy-5-0.01", "cauchy-0-1", "semicircle", "arcsine"])
+    def test_g_eval_of_a_truncation_sees_its_window(self, base, density,
+                                                    tmp_path, monkeypatch):
+        z, cutoff = 0.5 + 1.0j, 1.0
+        law = {"variant": "truncated", "base": base, "cutoff": cutoff}
+        config = {"command": "g-eval", "seed": 0,
+                  "params": {"dist": {"kind": "scalar", "law": law},
+                             "b": {"dim": 1, "re": [[z.real]], "im": [[z.imag]]}},
+                  "output": "g.json"}
+        assert _run(tmp_path, monkeypatch, config) == 0
+        doc = json.loads((tmp_path / "g.json").read_text())
+        value = linalg.matrix_from_json(doc["result"]["value"])[0, 0]
+        defect = 1.0 - measures.measure_from_json(base).interval_mass(-cutoff, cutoff)
+        re, _ = scipy.integrate.quad(lambda t: (density(t) / (z - t)).real,
+                                     -cutoff, cutoff, epsabs=1e-15, limit=200)
+        im, _ = scipy.integrate.quad(lambda t: (density(t) / (z - t)).imag,
+                                     -cutoff, cutoff, epsabs=1e-15, limit=200)
+        assert value == pytest.approx(defect / z + re + 1j * im, abs=1e-12)
 
     def test_convergence_flags_escaping_mass(self, tmp_path, monkeypatch):
         def atomic(n):

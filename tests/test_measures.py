@@ -120,7 +120,20 @@ def test_g_closed_forms_vs_production_quadrature():
         seg = law.segments()[0]
         val, _ = ms.adaptive_integral(lambda th: seg.weight(th) / (z - seg.t_of(th)),
                                       seg.theta_lo, seg.theta_hi, tol=1e-13)
-        assert complex(val) == pytest.approx(law.closed_form_g_derivative(z, 0), abs=1e-11)
+        assert complex(val) == pytest.approx(ms.g_scalar(law, z), abs=1e-11)
+        assert complex(val) == pytest.approx(ms.g_derivative(law, z, 0), abs=1e-11)
+
+
+@pytest.mark.parametrize("z", [0.4 + 0.9j, -1.3 - 0.2j], ids=["upper", "lower"])
+def test_cauchy_derivatives_are_the_residue_at_the_pole(z):
+    law = ms.Cauchy(0.3, 0.8)
+    pole = law.pole(1.0 if z.imag > 0 else -1.0)
+    for order in range(4):
+        residue = complex((-1.0) ** order * math.factorial(order) * (z - pole) ** (-(order + 1)))
+        got = ms.g_derivative(law, z, order)
+        assert (got.real.hex(), got.imag.hex()) == (residue.real.hex(), residue.imag.hex())
+    assert ms.Semicircle(1.0).pole(1.0) is None
+    assert ms.truncate(law, 2.0).truncated.pole(1.0) is None
 
 
 def test_g_nevanlinna_properties():
@@ -220,6 +233,28 @@ def test_truncated_semicircle_mass():
     dens, _ = scipy.integrate.quad(lambda t: math.sqrt(4 - t * t) / (2 * math.pi), -1, 1)
     assert res.retained_mass == pytest.approx(dens, abs=1e-12)
     assert res.truncated.interval_mass(-1, 1) == pytest.approx(1.0, abs=1e-12)
+
+
+# at cutoff 1: narrow windows far out in a Cauchy tail, then windows that
+# span much of the angle range
+@pytest.mark.parametrize("base", [ms.Cauchy(100.0, 1.0), ms.Cauchy(5.0, 0.01),
+                                  ms.Cauchy(0.0, 1.0), ms.Semicircle(1.0),
+                                  ms.Arcsine(2.0)], ids=str)
+def test_truncated_law_keeps_unit_mass(base):
+    law = ms.TruncatedMeasure(base, 1.0)
+    assert ms.expect(law, np.ones_like) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("law", [ms.Cauchy(100.0, 1.0), ms.Cauchy(-0.7, 0.3),
+                                 ms.Cauchy(5.0, 0.01), ms.Semicircle(0.25),
+                                 ms.Arcsine(2.0)], ids=str)
+def test_segment_inverse_round_trips(law):
+    (seg,) = law.segments()
+    ts = np.array([law.quantile(p) for p in np.linspace(0.05, 0.95, 37)])
+    back = np.array([seg.t_of(np.array([seg.theta_of(t)]))[0] for t in ts])
+    assert np.abs(back - ts).max() <= 2 * np.spacing(np.abs(ts).max())
+    assert seg.theta_of(-math.inf) == seg.theta_lo
+    assert seg.theta_of(math.inf) == seg.theta_hi
 
 
 # ---------------------------------------------------------------------------
