@@ -102,8 +102,15 @@ class ConvolutionTask:
         return bx + by - 2.0 * winv
 
     def sum_argument(self, w) -> np.ndarray:
-        """b = R_X(w) + R_Y(w) + w^{-1}, the argument at which G_{X+Y}(b) = w."""
-        return self.r_sum(w) + linalg.inverse(w)
+        """b = R_X(w) + R_Y(w) + w^{-1}, the argument at which G_{X+Y}(b) = w.
+
+        G_{X+Y}(b) = w holds only when b keeps the base point's alternating
+        pattern, so a b outside Omega raises :class:`WrongPattern` or
+        :class:`PerturbationTooLarge` (:func:`omega_membership`).
+        """
+        b = self.r_sum(w) + linalg.inverse(w)
+        omega_membership(b, self.ball_x.n_pairs, self.ball_x.base_dim)
+        return b
 
     def sample_targets(self, count: int, seed: int = 0) -> list:
         """Deterministic sample of points in the shared image ball."""

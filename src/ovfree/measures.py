@@ -352,12 +352,18 @@ class TruncatedMeasure(ScalarMeasure):
 
 
 def _cdf_bisect(cdf, lo, hi, p, iters=200):
-    """Generalized inverse by bisection: smallest x with cdf(x) >= p."""
+    """Generalized inverse by bisection: smallest x with cdf(x) >= p.
+
+    Stops early once the midpoint equals an end: ``a`` always has
+    cdf(a) < p, so no later step can move ``b``.
+    """
     if cdf(lo) >= p:
         return lo
     a, b = lo, hi
     for _ in range(iters):
         mid = (a + b) / 2.0
+        if mid == a or mid == b:
+            break
         if cdf(mid) >= p:
             b = mid
         else:

@@ -475,6 +475,21 @@ class TestNumericalFailures:
         assert len(budgets) == 2
         assert all(0 < b < math.inf for b in budgets)
 
+    def test_convolve_argument_outside_omega_exits_3(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # both targets give b = R_X(w) + R_Y(w) + w^{-1} with a lower block
+        # 0, where G_{X+Y}(b) = w fails although the round trip holds
+        law = {"variant": "cauchy", "location": 1.0, "scale": 0.5}
+        x = {"kind": "scalar", "law": law}
+        config = {"command": "convolve", "seed": 1,
+                  "params": {"x": x, "y": x, "lam": 0.3, "n_pairs": 1, "points": 2},
+                  "output": "o.csv"}
+        assert _run(tmp_path, monkeypatch, config) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "WrongPattern"
+        assert "block 0" in err["message"]
+        assert not (tmp_path / "o.csv").exists()
+
     def test_killer_target_off_the_half_plane(self, tmp_path, monkeypatch, capsys):
         config = {"command": "killer", "seed": 0,
                   "params": {"targets": [[1.0, -1.0]]}, "output": "o.json"}

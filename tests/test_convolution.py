@@ -10,7 +10,8 @@ import scipy.integrate
 from ovfree import convolution as cv
 from ovfree import linalg, measures, ovdist, transforms
 from ovfree.errors import (DimensionMismatch, LeftCertifiedBall,
-                           MarginViolation, NoConvergence, UnsupportedPoint)
+                           MarginViolation, NoConvergence, UnsupportedPoint,
+                           WrongPattern)
 
 
 def _ball(center_val, image_center, radius, dim=2):
@@ -217,6 +218,31 @@ class TestVerifyAdditivity:
         report = cv.verify_additivity(cauchy_task, wrong, count=5, seed=6)
         assert not report.passed
         assert report.worst > 1e-4
+
+
+class TestPatternGate:
+    # x = y = Cauchy(1, 0.5) at lam = 0.3: R_X(w) + R_Y(w) + w^{-1} leaves
+    # the alternating pattern, so w is not G_{X+Y} there (block 0 margin -0.2)
+    @pytest.fixture(scope="class")
+    def shifted_task(self):
+        x = ovdist.ScalarEmbedded(measures.Cauchy(1.0, 0.5))
+        return cv.ConvolutionTask.certify(x, x, 0.3, 1, seed=1)
+
+    def test_sum_argument_outside_omega_is_refused(self, shifted_task):
+        (w,) = shifted_task.sample_targets(1, seed=1)
+        with pytest.raises(WrongPattern, match="block 0"):
+            shifted_task.sum_argument(w)
+
+    def test_verify_additivity_inherits_the_gate(self, shifted_task):
+        total = ovdist.ScalarEmbedded(measures.Cauchy(2.0, 1.0))
+        with pytest.raises(WrongPattern):
+            cv.verify_additivity(shifted_task, total, count=2, seed=1)
+
+    def test_sum_argument_inside_omega_is_unchanged(self, cauchy_task):
+        (w,) = cauchy_task.sample_targets(1, seed=2)
+        b = cauchy_task.sum_argument(w)
+        assert np.array_equal(b, cauchy_task.r_sum(w) + linalg.inverse(w))
+        transforms.omega_membership(b, 1)
 
 
 class TestVerifyAdditivityMC:

@@ -333,3 +333,43 @@ def test_atomic_validation():
                               "weights": [0.5, 0.5]})  # unsorted
     with pytest.raises(ValueError):
         ms.Cauchy(0.0, -1.0)
+
+
+def _bisect_200(cdf, lo, hi, p):
+    """The generalized inverse with all 200 halvings and no early stop."""
+    if cdf(lo) >= p:
+        return lo
+    a, b = lo, hi
+    for _ in range(200):
+        mid = (a + b) / 2.0
+        if cdf(mid) >= p:
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+@pytest.mark.parametrize("law, end", [
+    (ms.Semicircle(1.0), 2.0),
+    (ms.TruncatedMeasure(ms.Cauchy(0.0, 1.0), 3.0), 3.0),
+    (ms.TruncatedMeasure(ms.Cauchy(0.5, 0.2), 2.0), 2.0),
+], ids=["semicircle", "truncated-cauchy", "truncated-shifted-cauchy"])
+def test_quantile_bisection_stops_where_the_bits_stop(law, end, monkeypatch):
+    inner = type(law).cdf
+    for p in np.linspace(0.02, 0.98, 37):
+        want = _bisect_200(law.cdf, -end, end, p)
+        calls = []
+
+        def counting(self, x):
+            calls.append(x)
+            return inner(self, x)
+
+        monkeypatch.setattr(type(law), "cdf", counting)
+        got = law.quantile(p)
+        monkeypatch.setattr(type(law), "cdf", inner)
+        assert got == want
+        assert len(calls) <= 201
+        # doubles are dense near 0, so only quantiles away from it end early;
+        # a quantile at 0 (an atom, or a symmetric law's median) takes more
+        if abs(got) >= 1.0 / 16.0:
+            assert len(calls) <= 64, (p, got, len(calls))

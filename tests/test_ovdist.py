@@ -397,6 +397,84 @@ def test_default_jacobian_is_column_by_column(dist, b):
     assert np.array_equal(dist.jacobian(b, stack), columns)
 
 
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("b", CORNER_POINTS.values(), ids=CORNER_POINTS.keys())
+@pytest.mark.parametrize("law", CORNER_LAWS.values(), ids=CORNER_LAWS.keys())
+def test_kronecker_derivative_against_corner_and_rhr(law, b):
+    # -E[R (x) R^T] vec h against the corner of the block argument and
+    # against -E[R h R] integrated for one direction at a time
+    se = ov.ScalarEmbedded(law)
+    m = b.shape[0]
+    eye = np.eye(m)
+    zero = np.zeros_like(b)
+    closed = ov._pole_resolvent(law, b)
+    for h in _directions(m, 3, 13):
+        got = se.eval_dG(b, h)
+        assert _close(got, se.eval_G(np.block([[b, h], [zero, b]]))[:m, m:])
+        if closed is not None:
+            rhr = -closed @ h @ closed
+        else:
+            def minus_rhr(ts, h=h):
+                r = np.linalg.inv(b[None] - ts[:, None, None] * eye[None])
+                return -(r @ h @ r)
+
+            rhr = ms.expect(law, minus_rhr)
+        assert _close(got, rhr)
+
+
+# ---------------------------------------------------------------------------
+# G at a stack of arguments
+
+STACK_POINTS = [CORNER_POINTS["omega-dim2"], CORNER_POINTS["upper-non-diagonal"],
+                CORNER_POINTS["lower"], tr.base_point(0.8, 1),
+                np.array([[0.3 + 1j, 0.2], [0.0, -0.5 - 0.4j]])]
+
+
+@pytest.mark.parametrize("law", CORNER_LAWS.values(), ids=CORNER_LAWS.keys())
+def test_scalar_stack_matches_one_at_a_time(law):
+    se = ov.ScalarEmbedded(law)
+    got = se.eval_G_stack(np.array(STACK_POINTS))
+    assert got.shape == (len(STACK_POINTS), 2, 2)
+    for b, value in zip(STACK_POINTS, got):
+        assert _close(value, se.eval_G(b))
+
+
+def test_scalar_stack_takes_one_quadrature_per_segment(monkeypatch):
+    integrals = []
+    inner = ms.adaptive_integral
+
+    def counting(*args, **kwargs):
+        integrals.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ms, "adaptive_integral", counting)
+    # the Cauchy law's closed form takes the two half-plane members
+    ov.ScalarEmbedded(ms.Cauchy(0.2, 0.7)).eval_G_stack(np.array(STACK_POINTS))
+    assert len(integrals) == 1
+    ov.ScalarEmbedded(ms.Cauchy(0.2, 0.7)).eval_G_stack(np.array(STACK_POINTS[1:3]))
+    assert len(integrals) == 1
+
+
+def test_scalar_stack_refuses_a_member_with_real_spectrum():
+    stack = np.array([CORNER_POINTS["omega-dim2"], np.diag([1.0 + 0j, 2j])])
+    with pytest.raises(RealAxisPoint):
+        ov.ScalarEmbedded(ms.Semicircle(1.0)).eval_G_stack(stack)
+
+
+@pytest.mark.parametrize("dist", [
+    ov.DiracB(np.array([[0.3, 0.1j], [-0.1j, -0.2]])),
+    ov.OVSemicircular((np.array([[0.2, 0.05], [0.05, 0.1]]),)),
+], ids=["dirac", "ov-semicircular"])
+def test_default_stack_is_one_eval_G_per_argument(dist):
+    stack = np.array([CORNER_POINTS["omega-dim4"], 2j * np.eye(4),
+                      np.linalg.inv(tr.base_point(0.7, 2))])
+    assert np.array_equal(dist.eval_G_stack(stack),
+                          np.array([dist.eval_G(b) for b in stack]))
+
+
 # ---------------------------------------------------------------------------
 # sums of free summands
 

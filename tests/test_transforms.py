@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from ovfree import linalg, measures as ms, ovdist as ov, transforms as tr
+from ovfree import linalg, measures as ms, ovdist as ov, rng as rngmod
+from ovfree import transforms as tr
 from ovfree.errors import (BNotDominant, DimensionMismatch, LeftCertifiedBall,
                            MarginViolation, NoConvergence, PerturbationTooLarge,
                            UnsupportedPoint, WrongPattern)
@@ -122,6 +123,38 @@ class TestBlochCertify:
         # the two must agree bit for bit
         ball = tr.bloch_certify(dist, 0.4, 1)
         assert np.array_equal(ball.jacobian, tr.k_jacobian(dist, ball.center))
+
+    @pytest.mark.parametrize("law", [ms.Cauchy(0.0, 1.0), ms.Semicircle(0.04),
+                                     ms.TruncatedMeasure(ms.Cauchy(0.0, 1.0), 3.0)],
+                             ids=["cauchy", "semicircle", "truncated-cauchy"])
+    @pytest.mark.parametrize("n_pairs", [1, 2])
+    def test_sphere_samples_share_one_quadrature(self, law, n_pairs, monkeypatch):
+        # one expectation each for K(w0), its Jacobian and all 2 dim^2 + 2
+        # sphere samples; Omega points miss the Cauchy closed form
+        integrals = []
+        inner = ms.adaptive_integral
+
+        def counting(*args, **kwargs):
+            integrals.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(ms, "adaptive_integral", counting)
+        tr.bloch_certify(ov.ScalarEmbedded(law), 0.4, n_pairs)
+        assert len(integrals) == 3 * len(law.segments())
+
+    @pytest.mark.parametrize("dist", [
+        ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0)),
+        ov.DiracB(np.array([[0.2]])),
+    ], ids=["cauchy", "dirac"])
+    def test_k_map_on_a_stack(self, dist):
+        gen = rngmod.stream(9, 4)
+        w0 = linalg.inverse(tr.base_point(0.4, 1))
+        ws = np.array([w0 + 0.1 * frobenius_direction(gen, 2) for _ in range(5)])
+        stacked = tr.k_map(dist, ws)
+        assert stacked.shape == (5, 2, 2)
+        for w, value in zip(ws, stacked):
+            one = tr.k_map(dist, w)
+            assert np.abs(value - one).max() <= 1e-14 * max(1.0, np.abs(one).max())
 
     @pytest.mark.parametrize("dist", [
         ov.OVSemicircular((0.2,)),
