@@ -1,6 +1,6 @@
 """Alternating parent/head benchmark pairs, recorded in ``BENCH_<pr>.json``.
 
-    python3 tools/bench_pairs.py --parent ../parent --pr 27 \\
+    python3 tools/bench_pairs.py --parent ../parent --pr N \\
         --workload convolve-cauchy --seeds 401 402 403 404 405 --pairs 10
 
 ``--parent`` is a second checkout of the parent commit (a ``git clone`` or
@@ -56,7 +56,7 @@ def _commit(side: str) -> dict:
                               text=True)
         return done.stdout.strip() if done.returncode == 0 else None
 
-    return {"path": os.path.abspath(side), "commit": git("rev-parse", "HEAD"),
+    return {"commit": git("rev-parse", "HEAD"),
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
