@@ -140,10 +140,13 @@ class ScalarEmbedded(OVDistribution):
 
         K's (m^2, m^2) entry [(i, j), (a, b)] is E[R_ia R_bj], so K vec h is
         vec E[R h R] with vec row-major.  One expectation of K serves every
-        direction; each integrand call holds 21 m^4 complex entries (22 MB at
-        m = 16, 350 MB at m = 32).  A law with a virtual pole, at b in an
-        open half-plane, gives -G h G with G its closed-form resolvent.
-        Returns the shape of ``h``.
+        direction, and a single direction pays the same m^4 cost.  A panel
+        keeps its 10-point rule values (10 m^4 complex entries) while the
+        21-point rule's values and their weighted copy (21 m^4 each) are
+        alive, so the peak is about 54 m^4 complex entries: 57 MB at m = 16,
+        0.9 GB at m = 32.  A law with a virtual pole, at b in an open
+        half-plane, gives -G h G with G its closed-form resolvent.  Returns
+        the shape of ``h``.
         """
         b = self._check_arg(b)
         h = np.asarray(h, dtype=np.complex128)

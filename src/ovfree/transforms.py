@@ -119,13 +119,7 @@ def base_point(lam: float, n_pairs: int, base_dim: int = 1) -> np.ndarray:
 
 
 def k_map(dist: OVDistribution, w) -> np.ndarray:
-    """K(w) = G(w^{-1}), the transform in the inverted chart.
-
-    ``w`` is one chart point or a (k, m, m) stack of them; a stack is
-    evaluated by one ``dist.eval_G_stack`` call.
-    """
-    if np.ndim(w) == 3:
-        return dist.eval_G_stack(np.array([linalg.inverse(x) for x in w]))
+    """K(w) = G(w^{-1}), the transform in the inverted chart."""
     w = linalg.as_matrix(w)
     return dist.eval_G(linalg.inverse(w))
 
@@ -211,8 +205,9 @@ def bloch_certify(dist: OVDistribution, lam: float, n_pairs: int,
     R^2 a^2 / (8M).
 
     K(w0) is one :func:`k_map` call and all 2 dim^2 + 2 sphere samples are
-    one more, on their stack, so a scalar law spends one expectation on the
-    centre value, one on the Jacobian and one on the samples.
+    one ``dist.eval_G_stack`` call at their inverted chart points, so a
+    scalar law spends one expectation on the centre value, one on the
+    Jacobian and one on the samples.
     """
     d = base_point(lam, n_pairs, dist.base_dim)
     dim = d.shape[0]
@@ -238,7 +233,8 @@ def bloch_certify(dist: OVDistribution, lam: float, n_pairs: int,
     directions.append(vh[-1].conj().reshape(dim, dim)
                       / np.linalg.norm(vh[-1]))     # slowest direction
     variation = 0.0
-    for value in k_map(dist, w0 + radius * np.array(directions)):
+    samples = dist.eval_G_stack([linalg.inverse(w0 + radius * y) for y in directions])
+    for value in samples:
         variation = max(variation, float(np.linalg.norm(value - image_center)))
     m = _VARIATION_SAFETY * variation
     if m <= 0.0:

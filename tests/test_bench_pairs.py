@@ -12,9 +12,9 @@ def test_two_pairs_of_one_checkout(tmp_path):
     out = tmp_path / "BENCH_test.json"
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
-         "--parent", ROOT, "--head", ROOT, "--pr", "test",
-         "--workload", "moments-short", "--seeds", "2", "--pairs", "2",
-         "--seconds", "1", "--trace-items", "20", "--out", str(out)],
+         "--parent", ROOT, "--pr", "test",
+         "--workload", "moments-short", "--seeds", "2", "2",
+         "--seconds", "1", "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
@@ -29,7 +29,7 @@ def test_two_pairs_of_one_checkout(tmp_path):
             assert run["cpu_s"] > 0
     assert entry["summary"]["items_per_s"]["pairs"] == 2
     parent, head = entry["trace"]["parent"], entry["trace"]["head"]
-    assert parent["items"] == head["items"] == 20
+    assert parent["items"] == head["items"] == 34
     assert parent["per_item"]["cli.run_config.calls"] == 1.0
     assert parent["per_item"] == head["per_item"]
     assert set(report["environment"]) == {"parent", "head"}

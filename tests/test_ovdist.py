@@ -350,6 +350,24 @@ def _directions(m, count, seed):
     return gen.standard_normal((count, m, m)) + 1j * gen.standard_normal((count, m, m))
 
 
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def _minus_rhr(law, b, h):
+    """-E[R h R], R = (b - x)^{-1}, for one direction; -G h G in closed form."""
+    closed = ov._pole_resolvent(law, b)
+    if closed is not None:
+        return -closed @ h @ closed
+    eye = np.eye(b.shape[0])
+
+    def integrand(ts):
+        r = np.linalg.inv(b[None] - ts[:, None, None] * eye[None])
+        return -(r @ h @ r)
+
+    return ms.expect(law, integrand)
+
+
 @pytest.mark.parametrize("b", CORNER_POINTS.values(), ids=CORNER_POINTS.keys())
 @pytest.mark.parametrize("law", CORNER_LAWS.values(), ids=CORNER_LAWS.keys())
 def test_stacked_derivative_is_the_corner_of_the_block_argument(law, b):
@@ -365,6 +383,7 @@ def test_stacked_derivative_is_the_corner_of_the_block_argument(law, b):
         one = se.eval_dG(b, h)
         assert one.shape == (m, m)
         assert np.abs(dg - one).max() <= 1e-14 * max(1.0, np.abs(one).max())
+        assert _close(dg, _minus_rhr(law, b, h))
 
 
 @pytest.mark.parametrize("law", CORNER_LAWS.values(), ids=CORNER_LAWS.keys())
@@ -397,34 +416,6 @@ def test_default_jacobian_is_column_by_column(dist, b):
     assert np.array_equal(dist.jacobian(b, stack), columns)
 
 
-def _close(got, want):
-    return np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
-
-
-@pytest.mark.parametrize("b", CORNER_POINTS.values(), ids=CORNER_POINTS.keys())
-@pytest.mark.parametrize("law", CORNER_LAWS.values(), ids=CORNER_LAWS.keys())
-def test_kronecker_derivative_against_corner_and_rhr(law, b):
-    # -E[R (x) R^T] vec h against the corner of the block argument and
-    # against -E[R h R] integrated for one direction at a time
-    se = ov.ScalarEmbedded(law)
-    m = b.shape[0]
-    eye = np.eye(m)
-    zero = np.zeros_like(b)
-    closed = ov._pole_resolvent(law, b)
-    for h in _directions(m, 3, 13):
-        got = se.eval_dG(b, h)
-        assert _close(got, se.eval_G(np.block([[b, h], [zero, b]]))[:m, m:])
-        if closed is not None:
-            rhr = -closed @ h @ closed
-        else:
-            def minus_rhr(ts, h=h):
-                r = np.linalg.inv(b[None] - ts[:, None, None] * eye[None])
-                return -(r @ h @ r)
-
-            rhr = ms.expect(law, minus_rhr)
-        assert _close(got, rhr)
-
-
 # ---------------------------------------------------------------------------
 # G at a stack of arguments
 
@@ -440,22 +431,6 @@ def test_scalar_stack_matches_one_at_a_time(law):
     assert got.shape == (len(STACK_POINTS), 2, 2)
     for b, value in zip(STACK_POINTS, got):
         assert _close(value, se.eval_G(b))
-
-
-def test_scalar_stack_takes_one_quadrature_per_segment(monkeypatch):
-    integrals = []
-    inner = ms.adaptive_integral
-
-    def counting(*args, **kwargs):
-        integrals.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(ms, "adaptive_integral", counting)
-    # the Cauchy law's closed form takes the two half-plane members
-    ov.ScalarEmbedded(ms.Cauchy(0.2, 0.7)).eval_G_stack(np.array(STACK_POINTS))
-    assert len(integrals) == 1
-    ov.ScalarEmbedded(ms.Cauchy(0.2, 0.7)).eval_G_stack(np.array(STACK_POINTS[1:3]))
-    assert len(integrals) == 1
 
 
 def test_scalar_stack_refuses_a_member_with_real_spectrum():

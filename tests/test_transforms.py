@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from ovfree import linalg, measures as ms, ovdist as ov, rng as rngmod
-from ovfree import transforms as tr
+from ovfree import linalg, measures as ms, ovdist as ov, transforms as tr
 from ovfree.errors import (BNotDominant, DimensionMismatch, LeftCertifiedBall,
                            MarginViolation, NoConvergence, PerturbationTooLarge,
                            UnsupportedPoint, WrongPattern)
@@ -141,20 +140,6 @@ class TestBlochCertify:
         monkeypatch.setattr(ms, "adaptive_integral", counting)
         tr.bloch_certify(ov.ScalarEmbedded(law), 0.4, n_pairs)
         assert len(integrals) == 3 * len(law.segments())
-
-    @pytest.mark.parametrize("dist", [
-        ov.ScalarEmbedded(ms.Cauchy(0.0, 1.0)),
-        ov.DiracB(np.array([[0.2]])),
-    ], ids=["cauchy", "dirac"])
-    def test_k_map_on_a_stack(self, dist):
-        gen = rngmod.stream(9, 4)
-        w0 = linalg.inverse(tr.base_point(0.4, 1))
-        ws = np.array([w0 + 0.1 * frobenius_direction(gen, 2) for _ in range(5)])
-        stacked = tr.k_map(dist, ws)
-        assert stacked.shape == (5, 2, 2)
-        for w, value in zip(ws, stacked):
-            one = tr.k_map(dist, w)
-            assert np.abs(value - one).max() <= 1e-14 * max(1.0, np.abs(one).max())
 
     @pytest.mark.parametrize("dist", [
         ov.OVSemicircular((0.2,)),

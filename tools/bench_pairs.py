@@ -1,19 +1,19 @@
 """Alternating parent/head benchmark pairs, recorded in ``BENCH_<pr>.json``.
 
     python3 tools/bench_pairs.py --parent ../parent --pr N \\
-        --workload convolve-cauchy --seeds 401 402 403 404 405 --pairs 10
+        --workload convolve-cauchy --seeds 401 402 403 404 405
 
 ``--parent`` is a second checkout of the parent commit (a ``git clone`` or
-``git worktree``); the head is this checkout unless ``--head`` names
-another.  For each workload, pair i runs ``benchmark/run.py --trace 0`` once
-on each side at seed ``seeds[i % len(seeds)]``, the parent first in even
-pairs and the head first in odd ones.  Each run's record is read out of
+``git worktree``); the head is this checkout.  For each workload, pair i
+runs ``benchmark/run.py --trace 0`` once on each side at seed ``seeds[i]``
+(a seed may be listed more than once), the parent first in even pairs and
+the head first in odd ones.  Each run's record is read out of
 ``.bench_results/`` as soon as the run ends (two sides that share a
 checkout write the same file), with the run's CPU time from
 ``resource.getrusage(RUSAGE_CHILDREN)``.  Then each side traces the same
-fixed item list once, ``benchmark/worker.py --trace`` over the first
-``--trace-items`` items of seed ``seeds[0]`` (default: one item cycle), and
-every per-layer count is divided by that item count.
+fixed item list once, ``benchmark/worker.py --trace`` over one item cycle
+of seed ``seeds[0]``, and every per-layer count is divided by that item
+count.
 
 Which numbers are exact: for a fixed item list the per-item work counts
 (calls, panels, nodes, inverses) are deterministic, so the two sides'
@@ -136,22 +136,17 @@ def compare(pairs, spec) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--head", default=ROOT, help="checkout under test (default: this one)")
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
     parser.add_argument("--workload", nargs="+", choices=workloads.WORKLOADS,
                         default=list(workloads.WORKLOADS))
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--pairs", type=int, help="pairs per workload (default: one per seed)")
     parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--trace-items", type=int,
-                        help="items per traced run (default: one item cycle)")
-    parser.add_argument("--out", help="output path (default: <head>/BENCH_<pr>.json)")
+    parser.add_argument("--out", help="output path (default: BENCH_<pr>.json in this checkout)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     count_metrics = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
-    sides = {"parent": args.parent, "head": args.head}
-    n_pairs = args.pairs or len(args.seeds)
+    sides = {"parent": args.parent, "head": ROOT}
 
     report = {"pr": args.pr, "seconds": args.seconds,
               "commits": {k: _commit(v) for k, v in sides.items()},
@@ -159,25 +154,24 @@ def main(argv=None) -> int:
     environments = {}
     for workload in args.workload:
         pairs = []
-        for i in range(n_pairs):
-            seed = args.seeds[i % len(args.seeds)]
+        for i, seed in enumerate(args.seeds):
             order = ("parent", "head") if i % 2 == 0 else ("head", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(sides[side], workload, seed, args.seconds)
                 environments.setdefault(side, pair[side].pop("environment"))
             pairs.append(pair)
-            print(f"{workload} pair {i + 1}/{n_pairs} seed {seed}: items/s "
+            print(f"{workload} pair {i + 1}/{len(args.seeds)} seed {seed}: items/s "
                   f"parent {pair['parent']['metrics']['items_per_s']:.4g} "
                   f"head {pair['head']['metrics']['items_per_s']:.4g}", flush=True)
-        items = args.trace_items or workloads.cycle_length(workload)
+        items = workloads.cycle_length(workload)
         traces = {side: trace_once(path, workload, args.seeds[0], items, count_metrics)
                   for side, path in sides.items()}
         report["workloads"][workload] = {"pairs": pairs, "summary": compare(pairs, spec),
                                          "trace": traces}
     report["environment"] = environments
 
-    out = args.out or os.path.join(args.head, f"BENCH_{args.pr}.json")
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
