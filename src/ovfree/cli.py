@@ -515,6 +515,8 @@ def _handle_moments(args) -> int:
         word = [[_pair(complex(z)), var] for z, var in raw]
         # at least one law, so the schema reports an empty word or a bad variable
         n_vars = max([1, *(int(var) for _, var in word)])
+        if n_vars > max(1, len(word)):
+            raise ValueError(f"variable {n_vars} is above the letter count {len(word)}")
         if args.law.lstrip().startswith("{"):
             law = json.loads(args.law)
         else:
@@ -524,7 +526,7 @@ def _handle_moments(args) -> int:
                    "arcsine": {"variant": "arcsine", "radius": 2.0},
                    "pointmass": {"variant": "pointmass",
                                  "position": 0.0}}[args.law]
-    except (ValueError, SyntaxError, KeyError, TypeError) as exc:
+    except (ValueError, SyntaxError, KeyError, TypeError, OverflowError) as exc:
         return _error_json(2, "ArgumentError", f"bad word or law: {exc}")
     config = {"command": "moments", "seed": args.seed,
               "params": {"word": word, "laws": [law] * n_vars,

@@ -118,7 +118,7 @@ class ConvolutionTask:
         gen = rngmod.stream(seed, 3 * dim + 1)
         points = []
         for _ in range(count):
-            y = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+            y = rngmod.complex_normal((dim, dim), gen)
             y /= np.linalg.norm(y)
             points.append(self.overlap_center
                           + _TARGET_SHRINK * self.overlap_radius * gen.random() * y)

@@ -5,8 +5,8 @@ the trace state.  Everything reduces to one-variable moments, divided
 differences of the Cauchy transform that :func:`single_var_moment` evaluates
 with no cancellation: a repeated point through a derivative of the Cauchy
 transform, a Cauchy law with all points in one half-plane through the
-letterwise product, and any other product through one expectation.  The
-independence mode only decides *how* letters regroup:
+letterwise product, and any other product through one expectation.  One
+engine evaluates every word; the independence mode decides *how* runs regroup:
 
 * ``equal``     - all letters are the same operator, one big group;
 * ``classical`` - commuting variables, group letters by index;
@@ -18,10 +18,7 @@ independence mode only decides *how* letters regroup:
                   variable, C_j° R_2 = C_j R_2 - phi(C_j) R_2; the word is
                   N((); runs).  This holds for every law and for letters in
                   either half-plane.  A word has at most 16 alternating
-                  runs, since the states double with each run.  A single
-                  word's value is cached; its states are memoized only
-                  while it is evaluated, and one :func:`matrix_G_via_neumann`
-                  call shares one state memo over all its words.
+                  runs, since the states double with each run.
 
 For Cauchy-family laws with all letters in one half-plane the four answers
 collapse to the same product over letters, which is what makes the
@@ -125,50 +122,29 @@ def mixed_moment(word: ResolventWord) -> complex:
     A free word of more than ``_MAX_FREE_RUNS`` alternating runs raises
     :class:`UnsupportedPoint` before any state is built.
     """
-    letters = word.letters
-    laws = word.laws
-    if word.mode == "equal":
-        used = {idx for _, idx in letters}
-        base = laws[next(iter(used))]
-        if any(laws[i] != base for i in used):
-            raise ValueError("equal mode treats all variables as one operator; "
-                             "their laws must coincide")
-        return single_var_moment(base, [z for z, _ in letters])
-    if word.mode == "classical":
-        groups: dict[int, list] = {}
-        for z, idx in letters:
-            groups.setdefault(idx, []).append(z)
-        out = 1.0 + 0.0j
-        for idx, zs in groups.items():
-            out *= single_var_moment(laws[idx], zs)
-        return out
-    if word.mode == "boolean":
-        out = 1.0 + 0.0j
-        for idx, zs in _runs(letters):
-            out *= single_var_moment(laws[idx], zs)
-        return out
-    runs = _runs(letters)
-    if len(runs) > _MAX_FREE_RUNS:
-        raise UnsupportedPoint(f"a free word of {len(runs)} alternating runs is past "
+    blocks = tuple((idx, _sorted_zs(zs)) for idx, zs in _runs(word.letters))
+    if word.mode != "free":
+        return _Words(word.laws).word(blocks, word.mode)
+    if len(blocks) > _MAX_FREE_RUNS:
+        raise UnsupportedPoint(f"a free word of {len(blocks)} alternating runs is past "
                                f"the cap of {_MAX_FREE_RUNS} runs")
-    return _free_word_cached(laws, tuple((idx, _sorted_zs(zs)) for idx, zs in runs))
+    return _free_word_cached(word.laws, blocks)
 
 
 @lru_cache(maxsize=1 << 16)
 def _free_word_cached(laws, blocks) -> complex:
     # a lone word's states are rarely shared with other words, so its state
     # memo lives only as long as this evaluation
-    words = _FreeWords(laws)
-    return words.moment(tuple(words.intern(blk) for blk in blocks))
+    return _Words(laws).word(blocks, "free")
 
 
-class _FreeWords:
-    """Free-mode moments of words over one law tuple, sharing one state memo.
+class _Words:
+    """Moments of words over one law tuple in all four modes, sharing memos.
 
-    A state N(C; R) = phi(C_1° ... C_j° R_1 ... R_l) is a centered prefix C
-    followed by uncentered runs R, with C_j and R_1 of different variables.
-    Blocks are interned as ints, so a state is a flat int tuple: the ids of C,
-    then -1, then the ids of R.  The memo lives as long as the object.
+    :func:`mixed_moment` makes one per word, :func:`matrix_G_via_neumann` one
+    per call.  A word is the tuple of its runs' interned block ids; a block,
+    a (var, sorted zs) pair, has its phi taken once, and a free state N(C; R)
+    is a flat int tuple: the ids of C, then -1, then the ids of R.
     """
 
     def __init__(self, laws):
@@ -176,11 +152,29 @@ class _FreeWords:
         self.ids: dict = {}                 # (var, sorted zs) -> block id
         self.blocks: list = []              # block id -> (var, sorted zs)
         self.phis: list = []                # block id -> phi, or None until needed
-        self.memo: dict = {}                # state -> N(C; R)
+        self.merges: dict = {}              # tuple of block ids -> merged block id
+        self.memo: dict = {}                # free state -> N(C; R)
 
-    def moment(self, ids) -> complex:
+    def word(self, blocks, mode) -> complex:
+        """phi of the word whose runs are ``blocks``, (var, sorted zs) pairs."""
+        return self.moment(tuple(map(self.intern, blocks)), mode)
+
+    def moment(self, ids, mode) -> complex:
         """phi of the word whose runs are the interned blocks ``ids``."""
-        return self._n((), ids)
+        if mode == "free":
+            return self._n((), ids)
+        if mode == "equal":
+            law = self.laws[self.blocks[ids[0]][0]]
+            if any(self.laws[self.blocks[bid][0]] != law for bid in ids):
+                raise ValueError("equal mode treats all variables as one operator; "
+                                 "their laws must coincide")
+            ids = (self._merge(ids),)
+        elif mode == "classical":
+            groups: dict = {}               # var -> its block ids, in word order
+            for bid in ids:
+                groups.setdefault(self.blocks[bid][0], []).append(bid)
+            ids = [self._merge(tuple(bids)) for bids in groups.values()]
+        return math.prod((self._phi(bid) for bid in ids), start=1.0 + 0.0j)
 
     def intern(self, blk) -> int:
         """Id of the block ``blk``, a (var, sorted zs) pair."""
@@ -195,12 +189,17 @@ class _FreeWords:
         val = self.phis[bid]
         if val is None:
             var, zs = self.blocks[bid]
-            val = self.phis[bid] = _single_var_cached(self.laws[var], zs)
+            val = self.phis[bid] = single_var_moment(self.laws[var], zs)
         return val
 
-    def _merge(self, a, b) -> int:
-        (var, za), (_, zb) = self.blocks[a], self.blocks[b]
-        return self.intern((var, _sorted_zs(za + zb)))
+    def _merge(self, bids) -> int:
+        """Id of the block of all letters of ``bids``, under the first one's variable."""
+        bid = self.merges.get(bids)
+        if bid is None:
+            # sorting sorted blocks again gives the bits of one sort: it is stable
+            zs = _sorted_zs([z for b in bids for z in self.blocks[b][1]])
+            bid = self.merges[bids] = self.intern((self.blocks[bids[0]][0], zs))
+        return bid
 
     def _n(self, c, r) -> complex:
         # R empty: the empty word, or an alternating centered product, which vanishes
@@ -221,7 +220,7 @@ class _FreeWords:
                 s = self._n(c, rest)
             else:
                 # C_j° R_2 = C_j R_2 - phi(C_j) R_2
-                s = self._n(c[:-1], (self._merge(cj, r2),) + rest[1:]) \
+                s = self._n(c[:-1], (self._merge((cj, r2)),) + rest[1:]) \
                     - self._phi(cj) * self._n(c[:-1], rest)
             val += self._phi(r1) * s
         self.memo[key] = val
@@ -276,8 +275,7 @@ def fbcs_check(z_values: Sequence[complex], indices: Sequence[int],
     idx = [int(i) for i in indices]
     if len(zs) != len(idx):
         raise DimensionMismatch("need one variable index per argument")
-    n_vars = max(idx) + 1
-    laws = tuple(law for _ in range(n_vars))
+    laws = (law,) * (max(idx) + 1)
     letters = tuple(zip(zs, idx))
     values = {mode: mixed_moment(ResolventWord(letters, laws, mode)) for mode in MODES}
     reference = letterwise_cauchy_product(letters, laws)
@@ -321,10 +319,10 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
         sum_{p <= p_max} (-1)^p  E[(D-X)^{-1} (B' (D-X)^{-1})^p],
 
     convergent when the off-diagonal dominance ratio q < 1.  Low orders are
-    expanded path-by-path into :func:`mixed_moment` calls; once the path count
-    passes ``path_budget`` the letterwise Cauchy product (valid for every mode
-    handled here) continues the series, so the tail bound can actually be
-    driven below stringent tolerances.
+    expanded path-by-path into words of one :class:`_Words`; once the path
+    count passes ``path_budget``, or a free word 12 letters, the letterwise
+    Cauchy product (valid for every mode handled here) continues the series,
+    so the tail bound can actually be driven below stringent tolerances.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -356,51 +354,49 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
     # letters, with up to 126 distinct blocks), so cap free words separately
     max_letters = 12 if mode == "free" else 64
 
-    # every free word of this call shares one state memo, dropped on return
-    free_words = _FreeWords(laws) if mode == "free" else None
+    # every word of this call shares one block and state memo, dropped on return
+    words = _Words(laws)
     total = np.zeros((m, m), dtype=complex)
     enumerated = 0
     paths_so_far = 0
     for order in range(p_max + 1):
         count_this_order = int(path_tally.sum())
         path_tally = adjacency @ path_tally
-        if paths_so_far + count_this_order <= path_budget and order + 1 <= max_letters:
-            total += (-1.0) ** order * _term_by_paths(diag, off, succ, var_of, laws,
-                                                      mode, order, free_words)
+        past_cap = order + 1 > max_letters
+        if paths_so_far + count_this_order <= path_budget and not past_cap:
+            total += (-1.0) ** order * _term_by_paths(diag, off, succ, var_of, words,
+                                                      mode, order)
             paths_so_far += count_this_order
             enumerated = order + 1
         else:
             if not all_poles:
+                limit = (f"free words past the cap of {max_letters} letters"
+                         if past_cap else "path budget exhausted")
+                fix = f"lower p_max below {max_letters}" if past_cap else "raise path_budget"
                 raise UnsupportedPoint(
-                    "path budget exhausted and no letterwise product applies: "
-                    "either raise path_budget or use Cauchy laws with a "
-                    "half-plane-consistent diagonal")
+                    f"{limit} and no letterwise product applies: either {fix} or "
+                    "use Cauchy laws with a half-plane-consistent diagonal")
             total += (-1.0) ** order * _term_by_product(diag, off, var_of, laws, order)
     return NeumannResult(total, tail, q, enumerated)
 
 
-def _term_by_paths(diag, off, succ, var_of, laws, mode, order,
-                   free_words) -> np.ndarray:
+def _term_by_paths(diag, off, succ, var_of, words, mode, order) -> np.ndarray:
     m = len(diag)
     term = np.zeros((m, m), dtype=complex)
-    run_ids: dict = {}  # free mode: a run of slots -> its interned block
+    run_ids: dict = {}  # a run of slots -> its interned block
 
     def run_id(run) -> int:
         bid = run_ids.get(run)
         if bid is None:
             zs = _sorted_zs([complex(diag[p]) for p in run])
-            bid = run_ids[run] = free_words.intern((var_of[run[0]], zs))
+            bid = run_ids[run] = words.intern((var_of[run[0]], zs))
         return bid
 
     def walk(runs, last, coeff, length):
         # runs: the path so far, split into maximal same-variable runs of slots
         if length == order + 1:
-            if free_words is None:
-                letters = tuple((diag[p], var_of[p]) for run in runs for p in run)
-                value = mixed_moment(ResolventWord(letters, laws, mode))
-            else:
-                value = free_words.moment(tuple(run_id(run) for run in runs))
-            term[runs[0][0], last] += coeff * value
+            term[runs[0][0], last] += coeff * words.moment(
+                tuple(run_id(run) for run in runs), mode)
             return
         for v in succ[last]:
             v = int(v)

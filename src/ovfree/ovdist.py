@@ -409,9 +409,7 @@ class MCEstimate:
 def mc_estimate_G(dist: OVDistribution, b, big_dim: int = 300,
                   trials: int = 12, seed: int = 0) -> MCEstimate:
     """Sampled matrix Cauchy transform with an entrywise standard error."""
-    b = linalg.as_matrix(b)
-    if b.shape[0] % dist.base_dim != 0:
-        raise DimensionMismatch("argument dim incompatible with the distribution")
+    b = dist._check_arg(b)
     k = b.shape[0] // dist.base_dim
     big_b = np.kron(b, np.eye(big_dim))
     values = []

@@ -18,13 +18,18 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    """Real then imaginary standard normal draws, x + iy, of the given shape."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
 
     The R-diagonal phases are folded back into Q; without that correction the
     QR map is not measure-preserving.
     """
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    z = complex_normal((n, n), rng) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -36,5 +41,5 @@ def gue(n: int, rng: np.random.Generator) -> np.ndarray:
     Entries of the returned Hermitian matrix have variance 1/n; eigenvalues
     concentrate on [-2, 2].
     """
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    z = complex_normal((n, n), rng) / np.sqrt(2.0)
     return (z + z.conj().T) / np.sqrt(2.0 * n)

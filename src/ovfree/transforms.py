@@ -223,10 +223,8 @@ def bloch_certify(dist: OVDistribution, lam: float, n_pairs: int,
 
     radius = _CHART_RADIUS_FACTOR * lam
     gen = rngmod.stream(seed, 2 * n_pairs * dim)
-    directions = []
-    for _ in range(2 * dim * dim):
-        y = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-        directions.append(y / np.linalg.norm(y))
+    draws = (rngmod.complex_normal((dim, dim), gen) for _ in range(2 * dim * dim))
+    directions = [y / np.linalg.norm(y) for y in draws]
     _, _, vh = np.linalg.svd(jac)
     directions.append(vh[0].conj().reshape(dim, dim)
                       / np.linalg.norm(vh[0]))      # fastest-growing direction

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import types
 import warnings
 
@@ -442,6 +443,20 @@ class TestNumericalFailures:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "NotDominant"
 
+    def test_neumann_equal_mode_with_unequal_laws(self, tmp_path, monkeypatch, capsys):
+        # a path that mixes variables of different laws is no single operator
+        config = {"command": "neumann", "seed": 0,
+                  "params": {"B": {"dim": 2, "re": [[0, 0.1], [0.1, 0]],
+                                   "im": [[2, 0], [0, 3]]},
+                             "laws": [{"variant": "semicircle", "variance": 1.0},
+                                      {"variant": "arcsine", "radius": 2.0}],
+                             "mode": "equal", "p_max": 2},
+                  "output": "o.json"}
+        assert _run(tmp_path, monkeypatch, config) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert "laws must coincide" in err["message"]
+
     def test_convolve_mc_gate_names_bound_and_margin(self, tmp_path, monkeypatch,
                                                      capsys):
         def dirac(value):
@@ -563,6 +578,18 @@ class TestFlagForms:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == {
             "exit": 2, "type": "SchemaError", "message": message}
+
+    @pytest.mark.parametrize("word", ["[(2i,1000000)]", "[(2i,1e999)]"],
+                             ids=["variable-1e6", "variable-inf"])
+    def test_moments_variable_above_letter_count(self, word, capsys):
+        # a word of k letters has at most k variables, so no list of a
+        # million laws is built before the refusal
+        start = time.perf_counter()
+        assert cli.main(["moments", "--word", word]) == 2
+        assert time.perf_counter() - start < 0.1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ArgumentError"
+        assert error["exit"] == 2
 
     def test_killer_parses_mixed_notation(self, capsys):
         rc = cli.main(["killer", "--targets", "i, 1+i, 0.3+2i"])

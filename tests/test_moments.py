@@ -344,13 +344,15 @@ def test_free_caches_give_bitwise_equal_values_across_threads():
         assert estimate.tobytes() == expected[k % 2].tobytes()
 
 
-def test_neumann_free_paths_match_word_by_word_moments():
-    # the call-scoped memo gives the value mixed_moment gives each path word
-    laws = (ms.Semicircle(1.0), ms.Arcsine(1.3))
+@pytest.mark.parametrize("mode", mo.MODES)
+def test_neumann_paths_match_word_by_word_moments(mode):
+    # the call-scoped engine gives the value mixed_moment gives each path word;
+    # equal mode treats both variables as one operator, so they share a law
+    laws = (ms.Semicircle(1.0), ms.Semicircle(1.0) if mode == "equal" else ms.Arcsine(1.3))
     B = np.array([[2j, 0.1, 0.05, 0.1], [0.1, -2.5j, 0.08, 0.02],
                   [0.05, 0.08, 3j, 0.1], [0.03, 0.1, 0.02, 1.7j]])
     order = 3
-    res = mo.matrix_G_via_neumann(B, laws, "free", order, path_budget=10 ** 4)
+    res = mo.matrix_G_via_neumann(B, laws, mode, order, path_budget=10 ** 4)
     diag = np.diagonal(B)
     off = B - np.diag(diag)
     expected = np.zeros((4, 4), dtype=complex)
@@ -361,7 +363,7 @@ def test_neumann_free_paths_match_word_by_word_moments():
             coeff = np.prod([off[u, v] for u, v in zip(path, path[1:])])
             letters = tuple((diag[s], s % 2) for s in path)
             expected[path[0], path[-1]] += \
-                (-1) ** p * coeff * mo.mixed_moment(mo.ResolventWord(letters, laws, "free"))
+                (-1) ** p * coeff * mo.mixed_moment(mo.ResolventWord(letters, laws, mode))
     np.testing.assert_allclose(res.estimate, expected, rtol=1e-13, atol=1e-15)
 
 
@@ -457,8 +459,18 @@ def test_neumann_rejects_weak_diagonal():
 def test_neumann_budget_overflow_needs_cauchy():
     s = ms.Semicircle(1.0)
     B = np.array([[2j, 0.1], [0.1, 3j]])
-    with pytest.raises(UnsupportedPoint):
+    with pytest.raises(UnsupportedPoint, match="path budget exhausted.*raise path_budget"):
         mo.matrix_G_via_neumann(B, [s, s], "boolean", 12, path_budget=3)
     # within budget the semicircle word is fine
     res = mo.matrix_G_via_neumann(B, [s, s], "boolean", 2, path_budget=100)
     assert np.isfinite(res.estimate).all()
+
+
+def test_neumann_free_letter_cap_is_named():
+    # the budget is ample, so the 12-letter cap on free words is what stops
+    s = ms.Semicircle(1.0)
+    B = np.array([[2j, 0.1], [0.1, 3j]])
+    with pytest.raises(UnsupportedPoint, match="cap of 12 letters.*lower p_max below 12"):
+        mo.matrix_G_via_neumann(B, [s, s], "free", 12, path_budget=10 ** 9)
+    res = mo.matrix_G_via_neumann(B, [s, s], "free", 11, path_budget=10 ** 9)
+    assert res.enumerated_orders == 12
