@@ -342,7 +342,7 @@ def matrix_G_via_neumann(B, laws: Sequence[measures.ScalarMeasure], mode: str,
     tail = resolvent_bound * q ** (p_max + 1) / (1.0 - q) if q > 0 else 0.0
 
     var_of = [p % len(laws) for p in range(m)]
-    succ = [np.nonzero(off[u])[0] for u in range(m)]
+    succ = [np.nonzero(off[u])[0].tolist() for u in range(m)]
 
     uniform_halfplane = np.all(diag.imag > 0) or np.all(diag.imag < 0)
     sign = 1.0 if diag.imag[0] > 0 else -1.0
@@ -392,22 +392,22 @@ def _term_by_paths(diag, off, succ, var_of, words, mode, order) -> np.ndarray:
             bid = run_ids[run] = words.intern((var_of[run[0]], zs))
         return bid
 
-    def walk(runs, last, coeff, length):
-        # runs: the path so far, split into maximal same-variable runs of slots
+    # depth first, successors in slot order, so the terms add up in one order;
+    # a stack, as a recursive closure is a reference cycle keeping ``words``
+    # alive until a full collection. runs: a path split into same-variable runs
+    stack = [(((start,),), start, 1.0 + 0.0j, 1) for start in reversed(range(m))]
+    while stack:
+        runs, last, coeff, length = stack.pop()
         if length == order + 1:
             term[runs[0][0], last] += coeff * words.moment(
                 tuple(run_id(run) for run in runs), mode)
-            return
-        for v in succ[last]:
-            v = int(v)
+            continue
+        for v in reversed(succ[last]):
             if var_of[v] == var_of[last]:
                 grown = runs[:-1] + (runs[-1] + (v,),)
             else:
                 grown = runs + ((v,),)
-            walk(grown, v, coeff * off[last, v], length + 1)
-
-    for start in range(m):
-        walk(((start,),), start, 1.0 + 0.0j, 1)
+            stack.append((grown, v, coeff * off[last, v], length + 1))
     return term
 
 

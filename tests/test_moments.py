@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -269,6 +271,28 @@ def test_free_memo_is_bounded_by_entries():
     assert after.keys() == before.keys()
     grown = {name for name in before if after[name] > before[name]}
     assert grown <= {"_single_var_cached"}
+
+
+def test_neumann_frees_its_engine_on_return(monkeypatch):
+    # no reference cycle keeps a call's engine and memos alive until the
+    # next full collection, which comes rarely once the caches hold much
+    engines = []
+
+    class Recorded(mo._Words):
+        def __init__(self, laws):
+            super().__init__(laws)
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(mo, "_Words", Recorded)
+    B = np.array([[2j, 0.1, 0.05], [0.1, -2.5j, 0.08], [0.05, 0.08, 3j]])
+    gc.disable()
+    try:
+        for mode in mo.MODES:
+            mo.matrix_G_via_neumann(B, [ms.Semicircle(1.0)], mode, 4)
+        assert len(engines) == len(mo.MODES)
+        assert all(ref() is None for ref in engines)
+    finally:
+        gc.enable()
 
 
 FREE_ORACLE_LAWS = (ms.Cauchy(0.3, 0.7), ms.Semicircle(1.0), ms.Arcsine(1.5),
